@@ -15,14 +15,17 @@
 //     get Σ_{λ∈Λ_avail(e)} w(e,λ)/N(e), conversion edges the mean conversion
 //     cost as in G′.
 //
-// Because the skeleton depends only on the network's structure (links,
-// installed wavelength sets, converters) and never on its residual state,
+// The skeleton depends only on the network's wdm.Topology (links, installed
+// wavelength sets, converters) and never on its residual state, so
 // construction is split in two: NewSkeleton builds the full vertex and edge
-// inventory once per (net, s, t, node-disjointness), and Reweight flips the
-// Disable bits of filtered links and rewrites edge weights in place — so a
-// threshold search or a per-arrival router re-uses one skeleton instead of
-// reallocating the graph for every variant it tries. Build remains the
-// one-shot convenience wrapper (skeleton + one reweight).
+// inventory once per (topology, s, t, node-disjointness), and Reweight flips
+// the Disable bits of filtered links and rewrites edge weights in place from
+// the bound network's state — so a threshold search or a per-arrival router
+// re-uses one skeleton instead of reallocating the graph for every variant it
+// tries. Rebind moves a skeleton to any other network of the same topology
+// (a Clone, or the next CloneSince snapshot of a serving epoch) without
+// rebuilding it. Build remains the one-shot convenience wrapper (skeleton +
+// one reweight).
 //
 // Two refinements keep the per-request cost flat under dynamic traffic:
 //
@@ -31,12 +34,13 @@
 //     per ReweightAt call, so one skeleton serves every (s, t) in the
 //     edge-disjoint regime instead of one build per pair.
 //   - Reweight is incremental: link-edge weights and conversion-pair means are
-//     cached per StateVersion and refreshed through the network's per-link
-//     change journal (wdm.LinkStamp), so a reservation on one link recomputes
-//     only the skeleton edges incident to that link. The cache is sound
-//     because, while TopoVersion is unchanged (the Reweight precondition),
-//     every StateVersion advance stems from an availability mutation that
-//     stamps its link's journal entry.
+//     cached per (state lineage, StateVersion) and refreshed through the
+//     network's per-link change journal (wdm.LinkStamp), so a reservation on
+//     one link recomputes only the skeleton edges incident to that link. The
+//     cache is sound because every network of one lineage at one version
+//     holds the same state, and every StateVersion advance stems from an
+//     availability mutation that stamps its link's journal entry. A network
+//     from another lineage, or an older version, gets a full recompute.
 package auxgraph
 
 import (
@@ -117,21 +121,20 @@ type Aux struct {
 	keep    []bool // keep[e] = link e survives the current filter
 }
 
-// Skeleton is the reusable edge-node structure for one (net, s, t,
+// Skeleton is the reusable edge-node structure for one (topology, s, t,
 // node-disjointness) tuple. It is built once with NewSkeleton and
-// re-weighted any number of times with Reweight, as long as the network's
-// structure (TopoVersion) is unchanged; reservations and releases only
-// change weights and filters, which Reweight recomputes in place.
+// re-weighted any number of times with Reweight, on the network it was built
+// from or on any network Rebind points it at, as long as that network's
+// Topology is the one it was built on; reservations and releases only change
+// weights and filters, which Reweight recomputes in place.
 //
 // A Skeleton is not safe for concurrent use, and the *Aux returned by
 // Reweight aliases the skeleton: a later Reweight rewrites it in place.
 type Skeleton struct {
 	aux          Aux
-	s, t         int // fixed terminals; -1 on shared skeletons
 	shared       bool
 	nodeDisjoint bool
-	topoVersion  uint64
-	m            int // physical link count at build time
+	topo         *wdm.Topology // the structure the skeleton was built on
 
 	linkEdge []int // linkEdge[e] = aux edge ID of e's link edge
 
@@ -142,8 +145,8 @@ type Skeleton struct {
 	pairOK      []bool    // cached avail-feasibility per pair
 	pairMean    []float64 // cached mean conversion cost per pair
 	pairsByLink [][]int32 // pair indices with ein or eout = link, for journal refresh
+	pairsLin    uint64    // lineage the pair cache was computed on (0: never)
 	pairsAt     uint64    // StateVersion the pair cache was computed at
-	pairsOK     bool      // pair cache computed at least once
 
 	// Cached link-edge weights, one cache per variant so algorithms that
 	// alternate kinds (MinLoadCost's Load rounds then LoadCost pass) don't
@@ -151,25 +154,25 @@ type Skeleton struct {
 	lw [3]weightCache
 
 	hubs     []hubGadget
-	termOut  []linkEdgeRef // s′ → u_out^e (fixed skeletons)
-	termIn   []linkEdgeRef // v_in^e → t″ (fixed skeletons)
 	spokeIn  []linkEdgeRef // v_in^e → hub_in(v), node-disjoint only
 	spokeOut []linkEdgeRef // hub_out(v) → u_out^e, node-disjoint only
 
-	// Shared-skeleton terminal machinery: per-node terminal vertices and
-	// edge groups, plus the currently enabled pair.
+	// Terminal machinery: per-node terminal edge groups (every node's on a
+	// shared skeleton, only s's and t's on a fixed one), the shared
+	// skeleton's per-node terminal vertices, and the enabled pair.
 	termOutNode [][]linkEdgeRef // s′_v → u_out^e, per node
 	termInNode  [][]linkEdgeRef // v_in^e → t″_v, per node
-	srcVertex   []int           // s′_v per node
-	dstVertex   []int           // t″_v per node
-	curS, curT  int             // terminals currently enabled; -1 before first ReweightAt
+	srcVertex   []int           // s′_v per node (shared skeletons)
+	dstVertex   []int           // t″_v per node (shared skeletons)
+	curS, curT  int             // terminals currently enabled; -1 before a shared skeleton's first ReweightAt
 }
 
 // weightCache holds one variant's per-link edge weights together with the
-// StateVersion they were computed at; links whose journal stamp exceeds that
-// version are recomputed on the next Reweight, all others are reused.
+// state (lineage, StateVersion) they were computed at; links whose journal
+// stamp exceeds that version are recomputed on the next Reweight, all others
+// are reused. Lineage IDs start at 1, so the zero cache matches no network.
 type weightCache struct {
-	ok   bool
+	lin  uint64
 	at   uint64
 	base float64 // exponent base the Load weights were computed with
 	w    []float64
@@ -229,15 +232,12 @@ func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleto
 	defer instr.buildTime.Stop(instr.buildTime.Start())
 	m := net.Links()
 	sk := &Skeleton{
-		s:            s,
-		t:            t,
 		shared:       shared,
 		nodeDisjoint: nodeDisjoint,
-		topoVersion:  net.TopoVersion(),
-		m:            m,
+		topo:         net.Topology(),
 		linkEdge:     make([]int, m),
-		curS:         -1,
-		curT:         -1,
+		curS:         s,
+		curT:         t,
 	}
 	a := &sk.aux
 	a.net = net
@@ -340,31 +340,32 @@ func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleto
 	}
 
 	// Terminals. Shared skeletons get every node's terminal edges, disabled
-	// until a ReweightAt selects the pair; fixed skeletons get s and t only.
-	if shared {
-		sk.termOutNode = make([][]linkEdgeRef, net.Nodes())
-		sk.termInNode = make([][]linkEdgeRef, net.Nodes())
-		for v := 0; v < net.Nodes(); v++ {
-			for _, e1 := range net.Out(v) {
-				e := a.G.AddEdgeAux(sk.srcVertex[v], a.outNode[e1], 0, -1)
-				a.G.Disable(e)
-				sk.termOutNode[v] = append(sk.termOutNode[v], linkEdgeRef{edge: e, link: e1})
-			}
-			for _, e2 := range net.In(v) {
-				e := a.G.AddEdgeAux(a.inNode[e2], sk.dstVertex[v], 0, -1)
-				a.G.Disable(e)
-				sk.termInNode[v] = append(sk.termInNode[v], linkEdgeRef{edge: e, link: e2})
-			}
+	// until a ReweightAt selects the pair; fixed skeletons get s's and t's.
+	sk.termOutNode = make([][]linkEdgeRef, net.Nodes())
+	sk.termInNode = make([][]linkEdgeRef, net.Nodes())
+	addOut := func(v, from int) {
+		for _, e1 := range net.Out(v) {
+			e := a.G.AddEdgeAux(from, a.outNode[e1], 0, -1)
+			sk.termOutNode[v] = append(sk.termOutNode[v], linkEdgeRef{edge: e, link: e1})
 		}
-	} else {
-		for _, e1 := range net.Out(s) {
-			e := a.G.AddEdgeAux(a.S, a.outNode[e1], 0, -1)
-			sk.termOut = append(sk.termOut, linkEdgeRef{edge: e, link: e1})
+	}
+	addIn := func(v, to int) {
+		for _, e2 := range net.In(v) {
+			e := a.G.AddEdgeAux(a.inNode[e2], to, 0, -1)
+			sk.termInNode[v] = append(sk.termInNode[v], linkEdgeRef{edge: e, link: e2})
 		}
-		for _, e2 := range net.In(t) {
-			e := a.G.AddEdgeAux(a.inNode[e2], a.T, 0, -1)
-			sk.termIn = append(sk.termIn, linkEdgeRef{edge: e, link: e2})
-		}
+	}
+	if !shared {
+		addOut(s, a.S)
+		addIn(t, a.T)
+	}
+	first := a.G.M()
+	for v := range sk.srcVertex { // shared skeletons only
+		addOut(v, sk.srcVertex[v])
+		addIn(v, sk.dstVertex[v])
+	}
+	for e := first; e < a.G.M(); e++ {
+		a.G.Disable(e)
 	}
 	instr.builds.Inc()
 	instr.vertices.Observe(float64(a.G.N()))
@@ -372,10 +373,11 @@ func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleto
 	return sk
 }
 
-// Valid reports whether the network's structure is unchanged since the
-// skeleton was built — the condition under which Reweight is allowed.
-// Reservations and releases do not invalidate a skeleton.
-func (sk *Skeleton) Valid() bool { return sk.aux.net.TopoVersion() == sk.topoVersion }
+// Rebind points the skeleton at net, the network later Reweight calls read
+// residual state from. net must share the skeleton's Topology; the weight
+// caches carry over, refreshed incrementally when net continues the previous
+// network's lineage and in full otherwise.
+func (sk *Skeleton) Rebind(net *wdm.Network) { sk.aux.net = net }
 
 // Reweight recomputes the surviving-link filter and every edge weight in
 // place from the network's current residual state and returns the aux-graph
@@ -386,9 +388,10 @@ func (sk *Skeleton) Valid() bool { return sk.aux.net.TopoVersion() == sk.topoVer
 // network's change journal — a reservation on one link recomputes only that
 // link's weight and the conversion pairs incident to it, and a threshold
 // search that only moves ϑ between rounds pays just the O(m + conv-edges)
-// filter pass. It panics when the network structure changed since NewSkeleton
-// (see Valid), when p.NodeDisjoint disagrees with the skeleton, on an invalid
-// Base, or on a shared skeleton (which needs ReweightAt's terminal pair).
+// filter pass. It panics when the bound network's Topology is not the one the
+// skeleton was built on, when p.NodeDisjoint disagrees with the skeleton, on
+// an invalid Base, or on a shared skeleton (which needs ReweightAt's
+// terminal pair).
 func (sk *Skeleton) Reweight(p Params) *Aux {
 	if sk.shared {
 		panic("auxgraph: shared skeleton has no fixed terminals; use ReweightAt")
@@ -405,7 +408,7 @@ func (sk *Skeleton) Reweight(p Params) *Aux {
 //wdm:hotpath
 func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
 	if !sk.shared {
-		if s != sk.s || t != sk.t {
+		if s != sk.curS || t != sk.curT {
 			panic("auxgraph: fixed skeleton built for a different (s, t); use NewSharedSkeleton")
 		}
 		return sk.reweight(p)
@@ -432,8 +435,8 @@ func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
 }
 
 func (sk *Skeleton) reweight(p Params) *Aux {
-	if !sk.Valid() {
-		panic("auxgraph: network structure changed since skeleton build; build a new skeleton")
+	if sk.aux.net.Topology() != sk.topo {
+		panic("auxgraph: network topology differs from the skeleton's; build a new skeleton")
 	}
 	if p.NodeDisjoint != sk.nodeDisjoint {
 		panic("auxgraph: Params.NodeDisjoint disagrees with the skeleton")
@@ -451,29 +454,29 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 	net := sk.aux.net
 	g := sk.aux.G
 	keep := sk.aux.keep
-	sv := net.StateVersion()
+	lin, sv := net.Lineage(), net.StateVersion()
 
 	// Refresh this variant's cached link-edge weights: recompute every link
-	// on the first use (or when the Load base moves), only journal-dirty
-	// links afterwards.
+	// on the first use, on a network the journal cannot bridge to, or when
+	// the Load base moves; only journal-dirty links otherwise.
 	wc := &sk.lw[p.Kind]
 	if wc.w == nil {
 		//wdmlint:ignore hotalloc one-time lazy initialization of the per-variant weight cache
-		wc.w = make([]float64, sk.m)
+		wc.w = make([]float64, len(sk.linkEdge))
 	}
-	full := !wc.ok || (p.Kind == Load && wc.base != base)
+	full := wc.lin != lin || wc.at > sv || (p.Kind == Load && wc.base != base)
 	if full || wc.at != sv {
-		for id := 0; id < sk.m; id++ {
+		for id := 0; id < len(sk.linkEdge); id++ {
 			if !full && net.LinkStamp(id) <= wc.at {
 				continue
 			}
 			wc.w[id] = linkWeight(net.Link(id), p.Kind, base)
 		}
-		wc.ok, wc.at, wc.base = true, sv, base
+		wc.lin, wc.at, wc.base = lin, sv, base
 	}
 
 	// Link filter + link-edge weights.
-	for id := 0; id < sk.m; id++ {
+	for id := 0; id < len(sk.linkEdge); id++ {
 		l := net.Link(id)
 		k := !l.Avail().Empty()
 		if k {
@@ -494,16 +497,15 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 		g.SetWeight(eid, wc.w[id])
 	}
 
-	// Availability-dependent conversion means: full scan on first use, then
-	// only the pairs incident to journal-dirty links.
-	if !sk.pairsOK {
+	// Availability-dependent conversion means: full scan when the journal
+	// cannot bridge from the cached state, else only the pairs incident to
+	// journal-dirty links.
+	if sk.pairsLin != lin || sk.pairsAt > sv {
 		for i, cp := range sk.pairs {
 			sk.pairOK[i], sk.pairMean[i] = meanConvCost(net, net.Converter(cp.node), cp.ein, cp.eout)
 		}
-		sk.pairsAt = sv
-		sk.pairsOK = true
 	} else if sk.pairsAt != sv {
-		for id := 0; id < sk.m; id++ {
+		for id := 0; id < len(sk.linkEdge); id++ {
 			if net.LinkStamp(id) <= sk.pairsAt {
 				continue
 			}
@@ -512,8 +514,8 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 				sk.pairOK[i], sk.pairMean[i] = meanConvCost(net, net.Converter(cp.node), cp.ein, cp.eout)
 			}
 		}
-		sk.pairsAt = sv
 	}
+	sk.pairsLin, sk.pairsAt = lin, sv
 
 	costed := p.Kind == Cost || p.Kind == LoadCost
 	for i, cp := range sk.pairs {
@@ -566,18 +568,13 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 	}
 	gate(sk.spokeIn)
 	gate(sk.spokeOut)
-	if sk.shared {
-		gate(sk.termOutNode[sk.curS])
-		gate(sk.termInNode[sk.curT])
-	} else {
-		gate(sk.termOut)
-		gate(sk.termIn)
-	}
+	gate(sk.termOutNode[sk.curS])
+	gate(sk.termInNode[sk.curT])
 
 	instr.reweights.Inc()
 	if p.Trace != nil {
 		kept := 0
-		for id := 0; id < sk.m; id++ {
+		for id := 0; id < len(sk.linkEdge); id++ {
 			if keep[id] {
 				kept++
 			}

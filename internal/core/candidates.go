@@ -13,9 +13,9 @@ import (
 // candidate-path fast tier the router tries before the exact auxiliary-graph
 // pipeline. Candidates are generated on a static physical graph whose link
 // weights are the installed-wavelength mean costs Σ_{λ∈Λ(e)} w(e,λ)/N(e):
-// they depend only on the network's structure, never on the residual state,
-// so a table stays valid across reservations and applies equally to Clones of
-// the topology it was built from.
+// they depend only on the network's wdm.Topology, never on the residual
+// state, so a table serves every network sharing that *Topology (Clones and
+// CloneSince snapshots included) and no other.
 //
 // Per pair the table stores, in ascending static weight:
 //
@@ -35,8 +35,8 @@ import (
 type CandidateTable struct {
 	k      int
 	n      int
-	topoAt uint64
-	pairs  [][]candPair // indexed s*n + t
+	topo   *wdm.Topology // the structure the candidates were generated on
+	pairs  [][]candPair  // indexed s*n + t
 	filled []bool
 
 	// Generation scratch; dropped by NewCandidateTable once prefilled, kept
@@ -73,7 +73,7 @@ func newCandidateTable(net *wdm.Network, k int) *CandidateTable {
 	t := &CandidateTable{
 		k:      k,
 		n:      n,
-		topoAt: net.TopoVersion(),
+		topo:   net.Topology(),
 		pairs:  make([][]candPair, n*n),
 		filled: make([]bool, n*n),
 		g:      graph.New(n),
@@ -100,13 +100,6 @@ func staticMeanCost(l *wdm.Link) float64 {
 	return sum / float64(n)
 }
 
-// valid reports whether the table may serve net: same structure version and
-// node count as the network it was built from (which includes Clones, since
-// cloning preserves TopoVersion).
-func (t *CandidateTable) valid(net *wdm.Network) bool {
-	return net.TopoVersion() == t.topoAt && net.Nodes() == t.n
-}
-
 // lookup returns the candidate pairs for (s, t), generating them on first
 // use when the table still owns its generation scratch.
 func (t *CandidateTable) lookup(s, d int) []candPair {
@@ -126,9 +119,6 @@ func (t *CandidateTable) lookup(s, d int) []candPair {
 //wdm:coldpath cache-miss path generation, amortized across repeated (s, d) requests
 func (t *CandidateTable) fill(s, d int) {
 	idx := s*t.n + d
-	if t.filled[idx] {
-		return
-	}
 	t.filled[idx] = true
 	t.pairs[idx] = t.generate(s, d)
 }
@@ -204,13 +194,13 @@ type candScratch struct {
 }
 
 // candidateTable returns the active candidate table for net, or nil when the
-// fast tier is off. A table supplied via Options is used as long as it is
-// valid for net; otherwise, with Options.Candidates > 0, the router builds
-// and keeps its own lazily filled table.
+// fast tier is off. A table supplied via Options is used when it was built
+// on net's Topology; otherwise, with Options.Candidates > 0, the router
+// builds and keeps its own lazily filled table for that topology.
 //
-//wdm:coldpath table rebuild happens only on rebind or structural change
+//wdm:coldpath builds only on a topology the router has not routed on, the event auxgraph_builds_total counts for skeletons
 func (r *Router) candidateTable(net *wdm.Network) *CandidateTable {
-	if t := r.opts.candidateTable(); t != nil && t.valid(net) {
+	if t := r.opts.candidateTable(); t != nil && t.topo == net.Topology() {
 		return t
 	}
 	k := r.opts.candidates()
@@ -218,7 +208,7 @@ func (r *Router) candidateTable(net *wdm.Network) *CandidateTable {
 		return nil
 	}
 	r.rebind(net)
-	if r.candTab == nil || !r.candTab.valid(net) {
+	if r.candTab == nil {
 		r.candTab = newCandidateTable(net, k)
 	}
 	return r.candTab

@@ -47,8 +47,8 @@ type Options struct {
 	// CandidateTable supplies a pre-built candidate table (NewCandidateTable)
 	// shared across routers; it enables the fast tier regardless of
 	// Candidates. A prefilled table is read-only, so concurrent routers may
-	// share one. It must have been built from the same network the routing
-	// calls use, or from a Clone ancestor with identical structure.
+	// share one. It serves only networks sharing the wdm.Topology it was
+	// built on (Clones and CloneSince snapshots of that network).
 	CandidateTable *CandidateTable
 	// ReuseResult makes routing calls return Results that alias buffers owned
 	// by the Router: the Result, its Semilightpaths and their hop slices are

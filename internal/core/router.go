@@ -20,18 +20,22 @@ import (
 // state on every call. The MinCog threshold search in particular reweights
 // one skeleton per round instead of constructing a fresh graph per round.
 //
-// A Router is bound to the network of its most recent call; routing on a
-// different *wdm.Network drops the skeleton cache (workspaces are kept, as
-// they adapt to any graph size). Structural network changes (AddLink,
-// SetConverter) invalidate cached skeletons automatically via the network's
-// TopoVersion. A Router is not safe for concurrent use; give each goroutine
-// its own (e.g. one per parallel.MapWithState worker).
+// The skeleton and candidate caches are keyed on the *wdm.Topology of the
+// network routed on, not on the network: a router that moves to a Clone or
+// to the next CloneSince snapshot of the same network re-points its cached
+// skeletons at it (reweighting incrementally when the new network continues
+// the old one's state lineage, in full otherwise) instead of rebuilding
+// them. A structural edit (AddLink, SetConverter, SetSRLG) gives the network
+// a new Topology, so the next call rebuilds. Workspaces are kept across
+// everything, as they adapt to any graph size. A Router is not safe for
+// concurrent use; give each goroutine its own (e.g. one per
+// parallel.MapWithState worker).
 type Router struct {
 	opts   *Options
-	net    *wdm.Network
+	topo   *wdm.Topology // structure the skeleton and candidate caches belong to
 	ws     disjoint.Workspace
-	skels  map[skelKey]*auxgraph.Skeleton // node-disjoint skeletons, per (s, t)
-	shared *auxgraph.Skeleton             // one all-terminal skeleton for every edge-disjoint pair
+	skels  map[[2]int]*auxgraph.Skeleton // node-disjoint skeletons, per (s, t)
+	shared *auxgraph.Skeleton            // one all-terminal skeleton for every edge-disjoint pair
 
 	candTab *CandidateTable // lazily built when Options.Candidates > 0
 	cand    candScratch
@@ -73,16 +77,11 @@ func (t Tier) String() string {
 // on the goroutine that owns the router.
 func (r *Router) LastTier() Tier { return r.lastTier }
 
-type skelKey struct {
-	s, t         int
-	nodeDisjoint bool
-}
-
-// rebind points the router at net, dropping network-bound caches when the
-// router was previously serving a different one.
+// rebind drops the topology-keyed caches when net's topology is not the one
+// they were built on.
 func (r *Router) rebind(net *wdm.Network) {
-	if r.net != net {
-		r.net = net
+	if t := net.Topology(); t != r.topo {
+		r.topo = t
 		clear(r.skels)
 		r.shared = nil
 		r.candTab = nil
@@ -153,40 +152,36 @@ func (r *Router) finish(tc *obs.Trace, net *wdm.Network, res *Result, ok, loadAu
 	tc.Finish(obs.StatusOK)
 }
 
-// skeleton returns a valid cached skeleton for (s, t), building one on
-// demand, after a rebind to a different network, or after a structural
-// network change. Edge-disjoint requests share a single all-terminal
-// skeleton whose ReweightAt selects the pair; node-disjoint requests keep
-// per-(s, t) skeletons, since the hub gadgets exempt s and t.
+// skeleton returns the cached skeleton for (s, t) bound to net, building
+// one on first use of net's topology. Edge-disjoint requests share a single
+// all-terminal skeleton whose ReweightAt selects the pair; node-disjoint
+// requests keep per-(s, t) skeletons, since the hub gadgets exempt s and t.
 //
-//wdm:coldpath skeleton rebuild happens only on rebind or structural change
+//wdm:coldpath builds only on a topology the router has not routed on; auxgraph_builds_total counts each build
 func (r *Router) skeleton(net *wdm.Network, s, t int, nodeDisjoint bool, tc *obs.Trace) *auxgraph.Skeleton {
 	r.rebind(net)
-	if !nodeDisjoint {
-		if r.shared == nil || !r.shared.Valid() {
-			sp := tc.Begin("skeleton-build")
-			r.shared = auxgraph.NewSharedSkeleton(net)
-			tc.EndSpan(sp)
-			tc.Str("skeleton", "build")
-		} else {
-			tc.Str("skeleton", "cache-hit")
-		}
-		return r.shared
+	sk := r.shared
+	if nodeDisjoint {
+		sk = r.skels[[2]int{s, t}]
 	}
-	if r.skels == nil {
-		r.skels = make(map[skelKey]*auxgraph.Skeleton)
-	}
-	k := skelKey{s: s, t: t, nodeDisjoint: nodeDisjoint}
-	sk := r.skels[k]
-	if sk == nil || !sk.Valid() {
-		sp := tc.Begin("skeleton-build")
-		sk = auxgraph.NewSkeleton(net, s, t, nodeDisjoint)
-		tc.EndSpan(sp)
-		tc.Str("skeleton", "build")
-		r.skels[k] = sk
-	} else {
+	if sk != nil {
+		sk.Rebind(net)
 		tc.Str("skeleton", "cache-hit")
+		return sk
 	}
+	sp := tc.Begin("skeleton-build")
+	if nodeDisjoint {
+		sk = auxgraph.NewSkeleton(net, s, t, true)
+		if r.skels == nil {
+			r.skels = make(map[[2]int]*auxgraph.Skeleton)
+		}
+		r.skels[[2]int{s, t}] = sk
+	} else {
+		sk = auxgraph.NewSharedSkeleton(net)
+		r.shared = sk
+	}
+	tc.EndSpan(sp)
+	tc.Str("skeleton", "build")
 	return sk
 }
 

@@ -119,8 +119,9 @@ func TestRouterMatchesOneShotOnStream(t *testing.T) {
 }
 
 // TestRouterRebindAndTopoInvalidation covers the two skeleton-invalidation
-// paths: routing on a different network drops the cache, and a structural
-// change (AddLink) on the same network forces a rebuild via TopoVersion.
+// paths: routing on a network of another topology drops the cache, and a
+// structural change (AddLink) on the same network gives it a new Topology,
+// which forces a rebuild.
 func TestRouterRebindAndTopoInvalidation(t *testing.T) {
 	r := NewRouter(nil)
 	net1 := topo.NSFNET(topo.Config{W: 4})

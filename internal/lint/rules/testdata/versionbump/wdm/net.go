@@ -1,5 +1,5 @@
 // Package wdm is a fixture mirroring the shape of the real network type:
-// exported methods that mutate state must call bumpState or bumpTopo.
+// exported methods that mutate state must call bumpState.
 package wdm
 
 // set stands in for the bitset availability sets.
@@ -8,22 +8,24 @@ type set struct{ bits []uint64 }
 // Add is a recognised mutator method.
 func (s *set) Add(i int) { s.bits[0] |= 1 << uint(i) }
 
+// topology stands in for the copy-on-write wdm.Topology.
+type topology struct{ conv []int }
+
 // Network mirrors the real wdm.Network.
 type Network struct {
+	topo         *topology
 	links        []int
 	avail        *set
 	scratch      int
 	stateVersion uint64
-	topoVersion  uint64
 	stamp        []uint64
 }
 
 func (g *Network) bumpState() { g.stateVersion++ }
 
-func (g *Network) bumpTopo() {
-	g.topoVersion++
-	g.stateVersion++
-}
+// editTopo mirrors the real accessor, which copies a shared topology before
+// handing it out for an edit.
+func (g *Network) editTopo() *topology { return g.topo }
 
 func (g *Network) touchLink(i int) {
 	g.bumpState()
@@ -40,10 +42,16 @@ func (g *Network) touchAll() {
 // Links is a getter: no mutation, no bump required.
 func (g *Network) Links() int { return len(g.links) }
 
-// AddLink mutates topology and bumps: clean.
+// AddLink adds a link record and bumps: clean.
 func (g *Network) AddLink(w int) {
 	g.links = append(g.links, w)
-	g.bumpTopo()
+	g.bumpState()
+}
+
+// SetConverter edits structure through the copy-on-write accessor, which
+// needs no counter: clean.
+func (g *Network) SetConverter(v, c int) {
+	g.editTopo().conv[v] = c
 }
 
 // UseGood mutates residual state and bumps: clean.
@@ -97,13 +105,6 @@ func (g *Network) ResetAll() {
 func (g *Network) AvailBumpOnly(i int) {
 	g.avail.Add(i)
 	g.bumpState()
-}
-
-// AvailStructural mutates availability under a topology bump, which
-// invalidates cached weights wholesale: clean.
-func (g *Network) AvailStructural(i int) {
-	g.avail.Add(i)
-	g.bumpTopo()
 }
 
 // SetScratch writes a field no cache reads; the suppression records why.

@@ -7,11 +7,13 @@ import (
 	"repro/internal/lint"
 )
 
-// VersionBump guards the skeleton-cache invalidation contract: every exported
-// wdm.Network method that writes residual or topology state must advance the
-// change counters by calling bumpState or bumpTopo (auxgraph.Skeleton and the
-// Router's per-pair caches are valid exactly while the version they were
-// computed at still matches — a missed bump silently serves stale routes).
+// VersionBump guards the residual-state cache contract: every exported
+// wdm.Network method that writes network state must advance StateVersion by
+// calling bumpState (auxgraph.Skeleton's weight caches are valid exactly
+// while the (lineage, StateVersion) they were computed at still matches — a
+// missed bump silently serves stale routes). Structure needs no counter: it
+// lives in a wdm.Topology that is immutable once shared, and structural edits
+// reach it only through the copy-on-write editTopo accessor.
 //
 // It also guards the per-link change journal that the incremental reweight
 // path reads: a method that mutates wavelength availability must stamp the
@@ -20,7 +22,7 @@ import (
 // the SetSRLG bug shape, one invalidation layer down.
 var VersionBump = &lint.Analyzer{
 	Name: "versionbump",
-	Doc:  "exported wdm.Network methods that mutate state must call bumpState/bumpTopo, and availability writes must stamp the link journal",
+	Doc:  "exported wdm.Network methods that mutate state must call bumpState, and availability writes must stamp the link journal",
 	Run:  runVersionBump,
 }
 
@@ -33,14 +35,13 @@ var (
 	// vbBumps are the methods (and raw counter fields) that count as
 	// advancing a version. touchLink/touchAll bump transitively: they call
 	// bumpState before stamping the journal.
-	vbBumps  = map[string]bool{"bumpState": true, "bumpTopo": true, "touchLink": true, "touchAll": true}
-	vbFields = map[string]bool{"stateVersion": true, "topoVersion": true}
+	vbBumps  = map[string]bool{"bumpState": true, "touchLink": true, "touchAll": true}
+	vbFields = map[string]bool{"stateVersion": true}
 	// vbStamps are the calls that record an availability change in the
-	// per-link journal. bumpTopo counts: a structural change invalidates
-	// cached weights wholesale, so no per-link stamp is needed.
-	vbStamps = map[string]bool{"touchLink": true, "touchAll": true, "bumpTopo": true}
+	// per-link journal.
+	vbStamps = map[string]bool{"touchLink": true, "touchAll": true}
 	// vbStampFields are the raw fields whose write equals a journal stamp.
-	vbStampFields = map[string]bool{"stamp": true, "topoVersion": true}
+	vbStampFields = map[string]bool{"stamp": true}
 	// vbMutators are method names that mutate a container reached from the
 	// receiver (bitset and slice surgery on links and availability sets).
 	vbMutators = map[string]bool{
@@ -72,7 +73,7 @@ func runVersionBump(p *lint.Pass) {
 			res := scanNetworkMethod(p.Info, fd.Body, recvObj)
 			if res.writes && !res.bumps {
 				p.Reportf(fd.Name.Pos(),
-					"%s.%s mutates network state without calling bumpState or bumpTopo; cached skeletons will serve stale routes",
+					"%s.%s mutates network state without calling bumpState; cached skeleton weights will serve stale routes",
 					vbType, fd.Name.Name)
 			}
 			if res.availWrites && res.bumps && !res.stamps {

@@ -16,7 +16,9 @@
 //   - Each shard owns a region of (s, t) pairs and a warm core.Router (the
 //     parallel.MapWithState worker-pool pattern generalised to long-lived
 //     request queues), so independent pairs route in parallel with per-shard
-//     skeleton caches and an optional shared read-only CandidateTable.
+//     skeleton caches and an optional shared read-only CandidateTable. Both
+//     key on the wdm.Topology every snapshot shares, so a new epoch costs a
+//     shard an incremental reweight, not a skeleton rebuild.
 //   - A shard routes a request against the latest snapshot, then submits the
 //     chosen paths to the committer, which validates them against the
 //     authoritative state (optimistic concurrency: a reservation that lost a

@@ -11,9 +11,8 @@ import (
 // is frozen forever — the committer never writes through it, and the next
 // epoch's CloneSince only *shares* its link records, never mutates them.
 type snapshot struct {
-	epoch   uint64
-	version uint64 // cur.StateVersion() at publish — the CloneSince watermark
-	net     *wdm.Network
+	epoch uint64
+	net   *wdm.Network
 }
 
 // store pairs the authoritative mutable network (owned by the committer
@@ -26,14 +25,13 @@ type store struct {
 }
 
 // newStore clones net (the engine owns its state privately) and publishes
-// epoch 0 as a full clone of the initial state.
+// epoch 0 as a full copy of the initial state. Every epoch is a CloneSince
+// snapshot of cur, so all of them share one topology and one state lineage:
+// a shard router reweights its one skeleton incrementally from epoch to
+// epoch instead of rebuilding it.
 func newStore(net *wdm.Network) *store {
 	st := &store{cur: net.Clone()}
-	st.snap.Store(&snapshot{
-		epoch:   0,
-		version: st.cur.StateVersion(),
-		net:     st.cur.Clone(),
-	})
+	st.snap.Store(&snapshot{epoch: 0, net: st.cur.CloneSince(nil)})
 	return st
 }
 
@@ -47,9 +45,8 @@ func (st *store) load() *snapshot { return st.snap.Load() }
 func (st *store) publish() uint64 {
 	prev := st.snap.Load()
 	next := &snapshot{
-		epoch:   prev.epoch + 1,
-		version: st.cur.StateVersion(),
-		net:     st.cur.CloneSince(prev.net, prev.version),
+		epoch: prev.epoch + 1,
+		net:   st.cur.CloneSince(prev.net),
 	}
 	st.snap.Store(next)
 	return next.epoch

@@ -5,10 +5,7 @@ import "fmt"
 // FullConverter allows any wavelength to be converted to any other at one
 // uniform cost — assumption (i) of §3.3 ("fully switching is allowed at each
 // node ... and the switching cost at a node is identical").
-type FullConverter struct {
-	w    int
-	cost float64
-}
+type FullConverter struct{ cost float64 }
 
 // NewFullConverter returns a full-range converter over w wavelengths whose
 // every non-identity conversion costs cost.
@@ -16,7 +13,7 @@ func NewFullConverter(w int, cost float64) *FullConverter {
 	if cost < 0 {
 		panic("wdm: negative conversion cost")
 	}
-	return &FullConverter{w: w, cost: cost}
+	return &FullConverter{cost: cost}
 }
 
 // Allowed implements Converter; every conversion is permitted.

@@ -10,6 +10,7 @@ package wdm
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 )
@@ -17,7 +18,9 @@ import (
 // Wavelength indexes a channel in the global wavelength set Λ = {λ_0 … λ_{W-1}}.
 type Wavelength = int
 
-// Link is a directed fiber link e = <From, To> with its wavelength inventory.
+// Link is a directed fiber link e = <From, To> with its wavelength inventory:
+// one network's record of it. Λ(e) and the cost table belong to the shared
+// Topology; the availability set belongs to the network.
 type Link struct {
 	ID   int
 	From int
@@ -26,6 +29,13 @@ type Link struct {
 	lambda *bitset.Set // Λ(e): wavelengths installed on the link
 	avail  *bitset.Set // Λ_avail(e): installed and not held by any connection
 	cost   []float64   // cost[λ] = w(e, λ); +Inf for λ ∉ Λ(e)
+}
+
+// withAvail returns a copy of the record carrying the availability set a.
+func (l *Link) withAvail(a *bitset.Set) *Link {
+	c := *l
+	c.avail = a
+	return &c
 }
 
 // Lambda returns Λ(e) (do not mutate).
@@ -59,24 +69,14 @@ func (l *Link) HasAvail(lambda Wavelength) bool { return l.avail.Contains(lambda
 // MeanAvailCost returns Σ_{λ ∈ Λ_avail(e)} w(e, λ) / |Λ_avail(e)|, the §3.3.1
 // auxiliary-graph weight for the link's edge. It returns +Inf when no
 // wavelength is available.
-func (l *Link) MeanAvailCost() float64 {
-	cnt := l.avail.Count()
-	if cnt == 0 {
-		return math.Inf(1)
-	}
-	sum := 0.0
-	//wdmlint:ignore hotalloc non-escaping ForEach visitor; stays on the stack
-	l.avail.ForEach(func(lam int) bool {
-		sum += l.cost[lam]
-		return true
-	})
-	return sum / float64(cnt)
-}
+func (l *Link) MeanAvailCost() float64 { return l.availCostOver(l.avail.Count()) }
 
 // MeanInstalledCost returns Σ_{λ ∈ Λ_avail(e)} w(e, λ) / N(e), the §4.2
 // G_rc link weight (the paper divides by N(e), not |Λ_avail(e)|).
-func (l *Link) MeanInstalledCost() float64 {
-	n := l.N()
+func (l *Link) MeanInstalledCost() float64 { return l.availCostOver(l.N()) }
+
+// availCostOver returns Σ_{λ ∈ Λ_avail(e)} w(e, λ) / n, or +Inf when n is 0.
+func (l *Link) availCostOver(n int) float64 {
 	if n == 0 {
 		return math.Inf(1)
 	}
@@ -99,24 +99,21 @@ type Converter interface {
 	Cost(from, to Wavelength) float64
 }
 
-// Network is the WDM network G(V, E, Λ).
+// Network is the WDM network G(V, E, Λ): an immutable-once-shared Topology
+// plus the residual state — one availability set per link, the per-link
+// change journal and the StateVersion counter.
 type Network struct {
-	n     int
-	w     int
-	links []*Link
-	out   [][]int // out[v] = link IDs with From == v (E_out(v))
-	in    [][]int // in[v] = link IDs with To == v (E_in(v))
-	conv  []Converter
-	srlg  [][]int // srlg[link] = shared-risk group IDs (lazily allocated)
+	topo  *Topology
+	links []*Link // per-network link records; Λ(e) and costs shared with topo
 
-	// Change counters for cache invalidation (see StateVersion/TopoVersion).
-	stateVersion uint64
-	topoVersion  uint64
-
-	// stamp[e] is the change journal: the StateVersion at which link e's
-	// availability set last changed (see LinkStamp).
-	stamp []uint64
+	stateVersion uint64   // see StateVersion
+	stamp        []uint64 // stamp[e] = LinkStamp(e), the change journal
+	lineage      uint64   // see Lineage
+	follower     bool     // a CloneSince snapshot: leaves the lineage on its first write
 }
+
+// lineages hands out lineage IDs.
+var lineages atomic.Uint64
 
 // NewNetwork returns a network with n nodes, W wavelengths per system, and
 // full wavelength conversion at unit cost at every node (the §3.3
@@ -125,7 +122,7 @@ func NewNetwork(n, w int) *Network {
 	if n < 0 || w <= 0 {
 		panic("wdm: invalid network dimensions")
 	}
-	net := &Network{
+	t := &Topology{
 		n:    n,
 		w:    w,
 		out:  make([][]int, n),
@@ -133,17 +130,36 @@ func NewNetwork(n, w int) *Network {
 		conv: make([]Converter, n),
 	}
 	full := NewFullConverter(w, 1)
-	for v := range net.conv {
-		net.conv[v] = full
+	for v := range t.conv {
+		t.conv[v] = full
 	}
-	return net
+	return &Network{topo: t, lineage: lineages.Add(1)}
+}
+
+// Topology returns the network's structure. The result is immutable: a later
+// structural edit of g (AddLink, SetConverter, SetSRLG) gives g a new
+// Topology and leaves this one as it was. Clone and CloneSince share it.
+func (g *Network) Topology() *Topology {
+	if !g.topo.shared.Load() {
+		g.topo.shared.Store(true)
+	}
+	return g.topo
+}
+
+// editTopo returns g's topology ready for a structural edit, copying it first
+// when it has been shared.
+func (g *Network) editTopo() *Topology {
+	if g.topo.shared.Load() {
+		g.topo = g.topo.clone()
+	}
+	return g.topo
 }
 
 // Nodes returns |V|.
-func (g *Network) Nodes() int { return g.n }
+func (g *Network) Nodes() int { return g.topo.n }
 
 // W returns the number of wavelengths |Λ|.
-func (g *Network) W() int { return g.w }
+func (g *Network) W() int { return g.topo.w }
 
 // Links returns |E|.
 func (g *Network) Links() int { return len(g.links) }
@@ -152,51 +168,47 @@ func (g *Network) Links() int { return len(g.links) }
 func (g *Network) Link(id int) *Link { return g.links[id] }
 
 // Out returns E_out(v), the IDs of links leaving v.
-func (g *Network) Out(v int) []int { return g.out[v] }
+func (g *Network) Out(v int) []int { return g.topo.out[v] }
 
 // In returns E_in(v), the IDs of links entering v.
-func (g *Network) In(v int) []int { return g.in[v] }
+func (g *Network) In(v int) []int { return g.topo.in[v] }
 
 // Converter returns the conversion switch at node v.
-func (g *Network) Converter(v int) Converter { return g.conv[v] }
+func (g *Network) Converter(v int) Converter { return g.topo.conv[v] }
 
 // SetConverter installs a conversion switch at node v.
 func (g *Network) SetConverter(v int, c Converter) {
-	g.conv[v] = c
-	g.bumpTopo()
+	g.editTopo().conv[v] = c
 }
 
 // SetAllConverters installs the same switch at every node.
 func (g *Network) SetAllConverters(c Converter) {
-	for v := range g.conv {
-		g.conv[v] = c
+	conv := g.editTopo().conv
+	for v := range conv {
+		conv[v] = c
 	}
-	g.bumpTopo()
 }
 
 // StateVersion is a counter that advances on every change to the residual
-// state — wavelength reservations and releases as well as structural changes.
-// Derived structures (auxiliary-graph weights, caches of availability-based
-// quantities) are valid exactly while the version they were computed at still
-// matches.
+// state: wavelength reservations and releases, and links added. Together
+// with Lineage it identifies the state a derived structure (auxiliary-graph
+// weights, caches of availability-based quantities) was computed from.
 func (g *Network) StateVersion() uint64 { return g.stateVersion }
 
-// TopoVersion advances on structural changes only — links added or converters
-// replaced — the events that invalidate the auxiliary-graph skeleton (vertex
-// and edge inventory), as opposed to reservations, which invalidate only
-// weights.
-func (g *Network) TopoVersion() uint64 { return g.topoVersion }
-
-// bumpTopo records a structural change (which is also a state change).
-func (g *Network) bumpTopo() {
-	g.topoVersion++
-	g.stateVersion++
-}
+// Lineage identifies the state history g belongs to. NewNetwork and Clone
+// start a new lineage; a CloneSince snapshot joins its source's, and leaves
+// it for a new one if it is ever written to. Every network of a lineage at
+// StateVersion v therefore holds the same residual state and the same
+// journal, so the journal contract of LinkStamp holds across them.
+func (g *Network) Lineage() uint64 { return g.lineage }
 
 // bumpState records a residual-state change (reservation or release). Every
-// mutating method must call bumpState or bumpTopo — the wdmlint versionbump
-// rule enforces it — or derived caches serve stale data.
+// mutating method must call bumpState — the wdmlint versionbump rule
+// enforces it — or derived caches serve stale data.
 func (g *Network) bumpState() {
+	if g.follower {
+		g.lineage, g.follower = lineages.Add(1), false
+	}
 	g.stateVersion++
 }
 
@@ -220,57 +232,51 @@ func (g *Network) touchAll() {
 
 // LinkStamp returns the StateVersion at which link id's availability set last
 // changed. The journal contract: a per-link quantity computed from
-// availability at StateVersion v is still fresh for link e iff
-// LinkStamp(e) ≤ v — provided TopoVersion has not moved, since structural
-// changes (new links, converter swaps, SRLG edits) invalidate derived
-// structures wholesale without stamping individual links.
+// availability at StateVersion v, on g or on any network of g's Lineage, is
+// still fresh for link e iff v ≤ StateVersion() and LinkStamp(e) ≤ v.
 func (g *Network) LinkStamp(id int) uint64 { return g.stamp[id] }
 
 // AddLink adds a directed link from → to carrying the given wavelengths at
 // the given per-wavelength costs and returns its ID. costs[i] is the cost of
 // wavelengths[i]; every cost must be non-negative and finite.
 func (g *Network) AddLink(from, to int, wavelengths []Wavelength, costs []float64) int {
-	if from < 0 || from >= g.n || to < 0 || to >= g.n {
-		panic(fmt.Sprintf("wdm: link (%d,%d) out of range [0,%d)", from, to, g.n))
+	n, w := g.topo.n, g.topo.w
+	if from < 0 || from >= n || to < 0 || to >= n {
+		panic(fmt.Sprintf("wdm: link (%d,%d) out of range [0,%d)", from, to, n))
 	}
 	if len(wavelengths) != len(costs) {
 		panic("wdm: wavelengths/costs length mismatch")
 	}
-	l := &Link{
-		ID:     len(g.links),
-		From:   from,
-		To:     to,
-		lambda: bitset.New(g.w),
-		avail:  bitset.New(g.w),
-		cost:   make([]float64, g.w),
-	}
+	id := len(g.links)
+	l := &Link{ID: id, From: from, To: to, lambda: bitset.New(w), cost: make([]float64, w)}
 	for i := range l.cost {
 		l.cost[i] = math.Inf(1)
 	}
 	for i, lam := range wavelengths {
-		if lam < 0 || lam >= g.w {
-			panic(fmt.Sprintf("wdm: wavelength %d out of range [0,%d)", lam, g.w))
+		if lam < 0 || lam >= w {
+			panic(fmt.Sprintf("wdm: wavelength %d out of range [0,%d)", lam, w))
 		}
 		if costs[i] < 0 || math.IsInf(costs[i], 0) || math.IsNaN(costs[i]) {
 			panic(fmt.Sprintf("wdm: invalid cost %g for λ%d", costs[i], lam))
 		}
 		l.lambda.Add(lam)
-		l.avail.Add(lam)
 		l.cost[lam] = costs[i]
 	}
-	g.links = append(g.links, l)
-	g.out[from] = append(g.out[from], l.ID)
-	g.in[to] = append(g.in[to], l.ID)
-	g.bumpTopo()
-	g.stamp = append(g.stamp, g.stateVersion)
-	return l.ID
+	t := g.editTopo()
+	t.links = append(t.links, l)
+	t.out[from] = append(t.out[from], id)
+	t.in[to] = append(t.in[to], id)
+	g.links = append(g.links, l.withAvail(l.lambda.Clone()))
+	g.stamp = append(g.stamp, 0)
+	g.touchLink(id)
+	return id
 }
 
 // AddUniformLink adds a link carrying all W wavelengths at one uniform cost
 // (assumption (ii) of §3.3) and returns its ID.
 func (g *Network) AddUniformLink(from, to int, cost float64) int {
-	lams := make([]Wavelength, g.w)
-	costs := make([]float64, g.w)
+	lams := make([]Wavelength, g.topo.w)
+	costs := make([]float64, g.topo.w)
 	for i := range lams {
 		lams[i] = i
 		costs[i] = cost
@@ -289,7 +295,7 @@ func (g *Network) ConvCost(v int, from, to Wavelength) float64 {
 	if from == to {
 		return 0
 	}
-	c := g.conv[v]
+	c := g.topo.conv[v]
 	if !c.Allowed(from, to) {
 		return math.Inf(1)
 	}
@@ -300,9 +306,9 @@ func (g *Network) ConvCost(v int, from, to Wavelength) float64 {
 // wavelength is not currently available.
 func (g *Network) Use(id int, lambda Wavelength) error {
 	l := g.links[id]
-	if lambda < 0 || lambda >= g.w {
+	if lambda < 0 || lambda >= g.topo.w {
 		//wdmlint:ignore hotalloc error return path; never taken on the admit path
-		return fmt.Errorf("wdm: λ%d out of range [0,%d)", lambda, g.w)
+		return fmt.Errorf("wdm: λ%d out of range [0,%d)", lambda, g.topo.w)
 	}
 	if !l.lambda.Contains(lambda) {
 		//wdmlint:ignore hotalloc error return path; never taken on the admit path
@@ -321,9 +327,9 @@ func (g *Network) Use(id int, lambda Wavelength) error {
 // the wavelength was not in use.
 func (g *Network) Release(id int, lambda Wavelength) error {
 	l := g.links[id]
-	if lambda < 0 || lambda >= g.w {
+	if lambda < 0 || lambda >= g.topo.w {
 		//wdmlint:ignore hotalloc error return path; never taken on the admit path
-		return fmt.Errorf("wdm: λ%d out of range [0,%d)", lambda, g.w)
+		return fmt.Errorf("wdm: λ%d out of range [0,%d)", lambda, g.topo.w)
 	}
 	if !l.lambda.Contains(lambda) {
 		//wdmlint:ignore hotalloc error return path; never taken on the admit path
@@ -357,48 +363,19 @@ func (g *Network) NetworkLoad() float64 {
 // complexity bounds.
 func (g *Network) MaxDegree() int {
 	d := 0
-	for v := 0; v < g.n; v++ {
-		if t := len(g.in[v]) + len(g.out[v]); t > d {
+	for v := 0; v < g.topo.n; v++ {
+		if t := len(g.topo.in[v]) + len(g.topo.out[v]); t > d {
 			d = t
 		}
 	}
 	return d
 }
 
-// Clone returns a deep copy of the network, including availability state.
-// Converters are shared (they are immutable).
+// Clone returns a copy of the network with its own availability state,
+// starting a new lineage. The topology is shared (it is immutable).
 func (g *Network) Clone() *Network {
-	c := &Network{
-		n:            g.n,
-		w:            g.w,
-		out:          make([][]int, g.n),
-		in:           make([][]int, g.n),
-		conv:         append([]Converter(nil), g.conv...),
-		stateVersion: g.stateVersion,
-		topoVersion:  g.topoVersion,
-		stamp:        append([]uint64(nil), g.stamp...),
-	}
-	for v := 0; v < g.n; v++ {
-		c.out[v] = append([]int(nil), g.out[v]...)
-		c.in[v] = append([]int(nil), g.in[v]...)
-	}
-	if g.srlg != nil {
-		c.srlg = make([][]int, len(g.srlg))
-		for i, gs := range g.srlg {
-			c.srlg[i] = append([]int(nil), gs...)
-		}
-	}
-	c.links = make([]*Link, len(g.links))
-	for i, l := range g.links {
-		c.links[i] = &Link{
-			ID:     l.ID,
-			From:   l.From,
-			To:     l.To,
-			lambda: l.lambda.Clone(),
-			avail:  l.avail.Clone(),
-			cost:   append([]float64(nil), l.cost...),
-		}
-	}
+	c := g.CloneSince(nil)
+	c.lineage, c.follower = lineages.Add(1), false
 	return c
 }
 
@@ -424,26 +401,23 @@ func (g *Network) TotalAvailable() int {
 // SetSRLG assigns shared-risk link group IDs to a link. Links sharing any
 // group are assumed to fail together (same conduit, duct or span), so a
 // backup protecting against such risks must avoid every group of its
-// primary. Calling SetSRLG replaces the link's previous groups. It counts as
-// a structural change: risk groups alter which backups are legal, so cached
-// routing structures must not outlive it.
+// primary. Calling SetSRLG replaces the link's previous groups. Risk groups
+// are structure: the edit gives the network a new Topology once the old one
+// has been shared.
 func (g *Network) SetSRLG(id int, groups ...int) {
-	if g.srlg == nil {
-		g.srlg = make([][]int, len(g.links))
+	t := g.editTopo()
+	for len(t.srlg) < len(t.links) {
+		t.srlg = append(t.srlg, nil)
 	}
-	for len(g.srlg) < len(g.links) {
-		g.srlg = append(g.srlg, nil)
-	}
-	g.srlg[id] = append([]int(nil), groups...)
-	g.bumpTopo()
+	t.srlg[id] = append([]int(nil), groups...)
 }
 
 // SRLGs returns the shared-risk groups of a link (nil when none assigned).
 func (g *Network) SRLGs(id int) []int {
-	if g.srlg == nil || id >= len(g.srlg) {
+	if id >= len(g.topo.srlg) {
 		return nil
 	}
-	return g.srlg[id]
+	return g.topo.srlg[id]
 }
 
 // SharesRisk reports whether two links belong to a common shared-risk group.

@@ -1,53 +1,33 @@
 package wdm
 
-// CloneSince returns a deep-enough copy of g for publication as an immutable
-// read snapshot, sharing storage with prev — a frozen clone of the same
-// network taken when g.StateVersion() was prevVersion — for every link whose
-// availability has not changed since then (LinkStamp(e) ≤ prevVersion). This
-// is the copy-on-write epoch layer of the serving daemon: with a per-epoch
-// admission batch touching b links out of m, publishing the next snapshot
-// costs O(b) link copies instead of O(m·W/64), and the shared *Link records
-// are safe because both snapshots are frozen — only the authoritative
-// mutable network ever writes availability sets, and it shares nothing.
+// CloneSince returns a copy of g's residual state for publication as an
+// immutable read snapshot. It shares g's topology and, when prev is an
+// earlier snapshot of g's lineage, prev's frozen record of every link whose
+// availability has not changed since prev was taken. This is the
+// copy-on-write epoch layer of the serving daemon: with a per-epoch admission
+// batch touching b links out of m, publishing the next snapshot costs O(b)
+// link copies instead of O(m·W/64). Sharing is safe because snapshots are
+// frozen and the mutable source shares none of its own records.
 //
-// Per-link wavelength inventories (Λ(e)) and cost tables are shared with g
-// itself: they are write-once at AddLink and never mutated afterwards.
-// Structure (adjacency, converters, SRLGs) is shared with prev; any
-// structural change bumps TopoVersion, which forces the full-clone path.
-//
-// A nil prev, a TopoVersion mismatch, or a link-count mismatch falls back to
-// Clone(). The receiver is not mutated.
-func (g *Network) CloneSince(prev *Network, prevVersion uint64) *Network {
-	if prev == nil || prev.topoVersion != g.topoVersion || len(prev.links) != len(g.links) ||
-		prev.n != g.n || prev.w != g.w {
-		return g.Clone()
-	}
+// The snapshot joins g's lineage, so caches computed on one snapshot refresh
+// incrementally on the next. A nil prev, one from another lineage, or one
+// newer than g gets no sharing. The receiver is not mutated.
+func (g *Network) CloneSince(prev *Network) *Network {
 	c := &Network{
-		n:            g.n,
-		w:            g.w,
-		out:          prev.out,
-		in:           prev.in,
-		conv:         prev.conv,
-		srlg:         prev.srlg,
+		topo:         g.Topology(),
+		links:        make([]*Link, len(g.links)),
 		stateVersion: g.stateVersion,
-		topoVersion:  g.topoVersion,
 		stamp:        append([]uint64(nil), g.stamp...),
+		lineage:      g.lineage,
+		follower:     true,
 	}
-	c.links = make([]*Link, len(g.links))
+	share := prev != nil && prev.lineage == g.lineage && prev.stateVersion <= g.stateVersion
 	for i, l := range g.links {
-		if g.stamp[i] <= prevVersion {
-			// Untouched since prev was taken: share prev's frozen record.
-			c.links[i] = prev.links[i]
+		if share && g.stamp[i] <= prev.stateVersion {
+			c.links[i] = prev.links[i] // untouched since prev: share its record
 			continue
 		}
-		c.links[i] = &Link{
-			ID:     l.ID,
-			From:   l.From,
-			To:     l.To,
-			lambda: l.lambda, // write-once after AddLink; safe to share with g
-			avail:  l.avail.Clone(),
-			cost:   l.cost, // write-once after AddLink; safe to share with g
-		}
+		c.links[i] = l.withAvail(l.avail.Clone())
 	}
 	return c
 }
