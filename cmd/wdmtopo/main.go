@@ -68,13 +68,14 @@ func printStats(net *wdm.Network) {
 	// Robust-routability: fraction of ordered pairs with an edge-disjoint
 	// pair (should be 100% for a survivable backbone).
 	total, routable := 0, 0
+	sk := auxgraph.NewSkeleton(net, false)
 	for s := 0; s < net.Nodes(); s++ {
 		for d := 0; d < net.Nodes(); d++ {
 			if s == d {
 				continue
 			}
 			total++
-			a := auxgraph.Build(net, s, d, auxgraph.Params{Kind: auxgraph.Cost})
+			a := sk.Reweight(s, d, auxgraph.Params{Kind: auxgraph.Cost})
 			if _, ok := disjoint.Suurballe(a.G, a.S, a.T); ok {
 				routable++
 			}
@@ -84,8 +85,9 @@ func printStats(net *wdm.Network) {
 		100*float64(routable)/float64(total))
 	// Auxiliary graph size for a representative request (§3.3.1 inventory).
 	a := auxgraph.Build(net, 0, net.Nodes()-1, auxgraph.Params{Kind: auxgraph.Cost})
+	vertices, edges := a.Inventory()
 	fmt.Printf("aux graph        %d vertices, %d edges (for request 0→%d)\n",
-		a.G.N(), a.G.M(), net.Nodes()-1)
+		vertices, edges, net.Nodes()-1)
 	// Survivability at conduit granularity: bridge spans cannot be
 	// protected by any edge-disjoint backup.
 	g := graph.New(net.Nodes())

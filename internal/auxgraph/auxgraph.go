@@ -1,9 +1,9 @@
 // Package auxgraph builds the edge-node auxiliary graphs of the paper. All
 // three variants share one skeleton — two edge-nodes per physical link
 // (u_out^e at the tail, v_in^e at the head), a link edge between them,
-// conversion edges v_in^e → v_out^e' inside every node, and the special
-// terminals s′ and t″ — and differ only in the link filter and the weight
-// assignment:
+// conversion edges v_in^e → v_out^e' inside every node, and terminal
+// vertices s′_v and t″_v for every node — and differ only in the link filter
+// and the weight assignment:
 //
 //   - Cost (G′, §3.3.1): link edges weighted by the mean available-wavelength
 //     cost Σ_{λ∈Λ_avail(e)} w(e,λ)/|Λ_avail(e)|; conversion edges by the mean
@@ -16,31 +16,36 @@
 //     cost as in G′.
 //
 // The skeleton depends only on the network's wdm.Topology (links, installed
-// wavelength sets, converters) and never on its residual state, so
-// construction is split in two: NewSkeleton builds the full vertex and edge
-// inventory once per (topology, s, t, node-disjointness), and Reweight flips
-// the Disable bits of filtered links and rewrites edge weights in place from
-// the bound network's state — so a threshold search or a per-arrival router
-// re-uses one skeleton instead of reallocating the graph for every variant it
-// tries. Rebind moves a skeleton to any other network of the same topology
-// (a Clone, or the next CloneSince snapshot of a serving epoch) without
-// rebuilding it. Build remains the one-shot convenience wrapper (skeleton +
-// one reweight).
+// wavelength sets, converters) and never on its residual state or on the
+// request, so construction is split in two: NewSkeleton builds the full
+// vertex and edge inventory once per topology, and Reweight(s, t, p) selects
+// the request's terminal pair, flips the Disable bits of filtered links and
+// rewrites edge weights in place from the bound network's state — so one
+// skeleton serves every (s, t) of a dynamic workload and every variant a
+// threshold search tries. Rebind moves a skeleton to any other network of the
+// same topology (a Clone, or the next CloneSince snapshot of a serving epoch)
+// without rebuilding it. Build remains the one-shot convenience wrapper
+// (skeleton + one reweight).
 //
-// Two refinements keep the per-request cost flat under dynamic traffic:
+// A node-disjoint skeleton (NewSkeleton(net, true)) funnels the conversion
+// edges of every node through a unit-capacity hub gadget instead, so an
+// edge-disjoint pair on the auxiliary graph maps to an internally
+// node-disjoint pair on the physical network (protection against single node
+// failures, §1). Reweight disables the hubs of the active s and t, as it
+// gates their terminals; with non-negative weights a minimum pair never
+// converts at its own endpoints anyway. The gadget assumes pairwise
+// conversion feasibility at each node — exact under the §3.3 full-conversion
+// assumption; with restricted converters the refinement step re-checks
+// feasibility.
 //
-//   - A shared skeleton (NewSharedSkeleton) carries terminal vertices s′_v and
-//     t″_v for every node and enables only the requested pair's terminal edges
-//     per ReweightAt call, so one skeleton serves every (s, t) in the
-//     edge-disjoint regime instead of one build per pair.
-//   - Reweight is incremental: link-edge weights and conversion-pair means are
-//     cached per (state lineage, StateVersion) and refreshed through the
-//     network's per-link change journal (wdm.LinkStamp), so a reservation on
-//     one link recomputes only the skeleton edges incident to that link. The
-//     cache is sound because every network of one lineage at one version
-//     holds the same state, and every StateVersion advance stems from an
-//     availability mutation that stamps its link's journal entry. A network
-//     from another lineage, or an older version, gets a full recompute.
+// Reweight is incremental: link-edge weights and conversion-pair means are
+// cached per (state lineage, StateVersion) and refreshed through the
+// network's per-link change journal (wdm.LinkStamp), so a reservation on one
+// link recomputes only the skeleton edges incident to that link. The cache is
+// sound because every network of one lineage at one version holds the same
+// state, and every StateVersion advance stems from an availability mutation
+// that stamps its link's journal entry. A network from another lineage, or an
+// older version, gets a full recompute.
 package auxgraph
 
 import (
@@ -92,14 +97,6 @@ type Params struct {
 	// it has available wavelengths and Filter returns true. Used by exact
 	// load oracles that need a per-link capacity cap.
 	Filter func(linkID int) bool
-	// NodeDisjoint routes all conversion edges of each intermediate node
-	// through a unit-capacity hub gadget, so an edge-disjoint pair on the
-	// auxiliary graph maps to an internally node-disjoint pair on the
-	// physical network (protection against single node failures, §1). The
-	// gadget assumes pairwise conversion feasibility at each node — exact
-	// under the §3.3 full-conversion assumption; with restricted converters
-	// the refinement step re-checks feasibility.
-	NodeDisjoint bool
 	// Trace, when non-nil, receives a "reweight" span per Reweight call with
 	// the variant, threshold and surviving-link count. Nil costs nothing.
 	Trace *obs.Trace
@@ -112,29 +109,28 @@ type Params struct {
 // the surviving subgraph.
 type Aux struct {
 	G *graph.Graph
-	S int // s′
-	T int // t″
+	S int // s′ of the active request
+	T int // t″ of the active request
 
-	net     *wdm.Network
 	outNode []int  // outNode[e] = aux vertex of u_out^e
 	inNode  []int  // inNode[e] = aux vertex of v_in^e
 	keep    []bool // keep[e] = link e survives the current filter
 }
 
-// Skeleton is the reusable edge-node structure for one (topology, s, t,
-// node-disjointness) tuple. It is built once with NewSkeleton and
-// re-weighted any number of times with Reweight, on the network it was built
-// from or on any network Rebind points it at, as long as that network's
-// Topology is the one it was built on; reservations and releases only change
-// weights and filters, which Reweight recomputes in place.
+// Skeleton is the reusable edge-node structure for one topology and
+// protection discipline (edge- or node-disjoint). It is built once with
+// NewSkeleton and re-weighted any number of times, for any (s, t), with
+// Reweight, on the network it was built from or on any network Rebind points
+// it at, as long as that network's Topology is the one it was built on;
+// reservations and releases only change weights and filters, which Reweight
+// recomputes in place.
 //
 // A Skeleton is not safe for concurrent use, and the *Aux returned by
 // Reweight aliases the skeleton: a later Reweight rewrites it in place.
 type Skeleton struct {
-	aux          Aux
-	shared       bool
-	nodeDisjoint bool
-	topo         *wdm.Topology // the structure the skeleton was built on
+	aux  Aux
+	net  *wdm.Network  // the network Reweight reads residual state from
+	topo *wdm.Topology // the structure the skeleton was built on
 
 	linkEdge []int // linkEdge[e] = aux edge ID of e's link edge
 
@@ -157,14 +153,10 @@ type Skeleton struct {
 	spokeIn  []linkEdgeRef // v_in^e → hub_in(v), node-disjoint only
 	spokeOut []linkEdgeRef // hub_out(v) → u_out^e, node-disjoint only
 
-	// Terminal machinery: per-node terminal edge groups (every node's on a
-	// shared skeleton, only s's and t's on a fixed one), the shared
-	// skeleton's per-node terminal vertices, and the enabled pair.
-	termOutNode [][]linkEdgeRef // s′_v → u_out^e, per node
-	termInNode  [][]linkEdgeRef // v_in^e → t″_v, per node
-	srcVertex   []int           // s′_v per node (shared skeletons)
-	dstVertex   []int           // t″_v per node (shared skeletons)
-	curS, curT  int             // terminals currently enabled; -1 before a shared skeleton's first ReweightAt
+	// Per-node terminal edge groups, all disabled except the active pair's.
+	termOut    [][]linkEdgeRef // s′_v → u_out^e, per node
+	termIn     [][]linkEdgeRef // v_in^e → t″_v, per node
+	curS, curT int             // active terminal pair; -1 before the first Reweight
 }
 
 // weightCache holds one variant's per-link edge weights together with the
@@ -185,6 +177,7 @@ type convPair struct {
 }
 
 type hubGadget struct {
+	node           int
 	hubEdge        int // aux edge ID of hub_in(v) → hub_out(v)
 	pairLo, pairHi int // this hub's range in Skeleton.pairs
 }
@@ -194,92 +187,50 @@ type linkEdgeRef struct {
 	link int // physical link whose keep bit gates the edge
 }
 
-// Build constructs the auxiliary graph for routing from s to t on the
-// residual network. It panics on invalid s/t and never fails otherwise: an
-// unroutable request simply yields a graph in which t″ is unreachable. It is
-// the one-shot wrapper around NewSkeleton + Reweight; hot paths should hold
-// a Skeleton (usually via core.Router) and Reweight it instead.
+// Build constructs the edge-disjoint auxiliary graph for routing from s to t
+// on the residual network. It panics on invalid s/t and never fails
+// otherwise: an unroutable request simply yields a graph in which t″ is
+// unreachable. It is the one-shot wrapper around NewSkeleton + Reweight; hot
+// paths should hold a Skeleton (usually via core.Router) and Reweight it
+// instead.
 func Build(net *wdm.Network, s, t int, p Params) *Aux {
-	return NewSkeleton(net, s, t, p.NodeDisjoint).Reweight(p)
+	return NewSkeleton(net, false).Reweight(s, t, p)
 }
 
-// NewSkeleton builds the full edge-node skeleton for (s, t): vertices and
-// edges for every physical link, conversion edges for every pair feasible
-// under the installed wavelength sets (a superset of every residual
-// feasibility), hub gadgets when nodeDisjoint, and the terminals. All edge
-// weights are unset and all filterable edges enabled until the first
-// Reweight. It panics on invalid s/t.
-func NewSkeleton(net *wdm.Network, s, t int, nodeDisjoint bool) *Skeleton {
-	if s < 0 || s >= net.Nodes() || t < 0 || t >= net.Nodes() {
-		panic("auxgraph: source/destination out of range")
-	}
-	return newSkeleton(net, s, t, nodeDisjoint, false)
-}
-
-// NewSharedSkeleton builds one skeleton that serves every (s, t) pair of the
-// edge-disjoint regime: it carries terminal vertices s′_v and t″_v with their
-// terminal edges for every node, all disabled, and ReweightAt enables exactly
-// the requested pair's terminals per call. Routers use it to amortise
-// skeleton construction across all node pairs of a dynamic workload instead
-// of building (and caching) one skeleton per pair. The node-disjoint variant
-// still needs per-pair skeletons — its hub gadgets exempt s and t — so there
-// is no shared form for it.
-func NewSharedSkeleton(net *wdm.Network) *Skeleton {
-	return newSkeleton(net, -1, -1, false, true)
-}
-
-func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleton {
+// NewSkeleton builds the full edge-node skeleton of net's topology: vertices
+// and edges for every physical link, conversion edges for every pair
+// feasible under the installed wavelength sets (a superset of every residual
+// feasibility) — funneled through one hub gadget per node when nodeDisjoint —
+// and terminal vertices and edges for every node. All edge weights are unset
+// and all terminal edges disabled until the first Reweight selects a pair.
+func NewSkeleton(net *wdm.Network, nodeDisjoint bool) *Skeleton {
 	defer instr.buildTime.Stop(instr.buildTime.Start())
-	m := net.Links()
+	m, n := net.Links(), net.Nodes()
 	sk := &Skeleton{
-		shared:       shared,
-		nodeDisjoint: nodeDisjoint,
-		topo:         net.Topology(),
-		linkEdge:     make([]int, m),
-		curS:         s,
-		curT:         t,
+		net:      net,
+		topo:     net.Topology(),
+		linkEdge: make([]int, m),
+		termOut:  make([][]linkEdgeRef, n),
+		termIn:   make([][]linkEdgeRef, n),
+		curS:     -1,
+		curT:     -1,
 	}
 	a := &sk.aux
-	a.net = net
+	a.S, a.T = -1, -1
 	a.outNode = make([]int, m)
 	a.inNode = make([]int, m)
 	a.keep = make([]bool, m)
 
-	// Vertex layout: for link e, out-node 2e, in-node 2e+1; then the
-	// terminals — one s′/t″ pair for fixed skeletons, one per node for shared
-	// ones; then one hub in/out pair per intermediate node when node-disjoint.
+	// Vertex layout: for link e, out-node 2e, in-node 2e+1; then s′_v at
+	// 2m+2v and t″_v at 2m+2v+1; then, when node-disjoint, hub_in(v) at
+	// 2m+2n+2v and hub_out(v) at 2m+2n+2v+1.
 	for id := 0; id < m; id++ {
 		a.outNode[id] = 2 * id
 		a.inNode[id] = 2*id + 1
 	}
-	nv := 2 * m
-	if shared {
-		sk.srcVertex = make([]int, net.Nodes())
-		sk.dstVertex = make([]int, net.Nodes())
-		for v := range sk.srcVertex {
-			sk.srcVertex[v] = nv
-			sk.dstVertex[v] = nv + 1
-			nv += 2
-		}
-		a.S, a.T = -1, -1 // set by ReweightAt
-	} else {
-		a.S = nv
-		a.T = nv + 1
-		nv += 2
-	}
-	var hubIn, hubOut []int
+	nv := 2*m + 2*n
 	if nodeDisjoint {
-		hubIn = make([]int, net.Nodes())
-		hubOut = make([]int, net.Nodes())
-		for v := range hubIn {
-			if v == s || v == t {
-				hubIn[v], hubOut[v] = -1, -1
-				continue
-			}
-			hubIn[v] = nv
-			hubOut[v] = nv + 1
-			nv += 2
-		}
+		nv += 2 * n
 	}
 	a.G = graph.New(nv)
 
@@ -291,42 +242,37 @@ func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleto
 	// Conversion edges inside each node: v_in^e → v_out^e' for every pair
 	// with at least one feasible conversion over the installed sets (pairs
 	// infeasible even at full availability can never become feasible). Under
-	// the node-disjoint variant the edges of intermediate nodes are funneled
-	// through a unit-capacity hub instead.
-	for v := 0; v < net.Nodes(); v++ {
+	// the node-disjoint variant they are funneled through a unit-capacity hub
+	// instead; a node without a feasible pair gets no hub and can never be
+	// traversed.
+	for v := 0; v < n; v++ {
 		conv := net.Converter(v)
-		if nodeDisjoint && v != s && v != t {
-			lo := len(sk.pairs)
-			for _, ein := range net.In(v) {
-				for _, eout := range net.Out(v) {
-					if installedFeasible(net, conv, ein, eout) {
-						sk.pairs = append(sk.pairs, convPair{edge: -1, node: v, ein: ein, eout: eout})
-					}
-				}
-			}
-			if len(sk.pairs) == lo {
-				continue // node can never be traversed
-			}
-			hubEdge := a.G.AddEdgeAux(hubIn[v], hubOut[v], 0, -1)
-			sk.hubs = append(sk.hubs, hubGadget{hubEdge: hubEdge, pairLo: lo, pairHi: len(sk.pairs)})
-			for _, ein := range net.In(v) {
-				e := a.G.AddEdgeAux(a.inNode[ein], hubIn[v], 0, -1)
-				sk.spokeIn = append(sk.spokeIn, linkEdgeRef{edge: e, link: ein})
-			}
-			for _, eout := range net.Out(v) {
-				e := a.G.AddEdgeAux(hubOut[v], a.outNode[eout], 0, -1)
-				sk.spokeOut = append(sk.spokeOut, linkEdgeRef{edge: e, link: eout})
-			}
-			continue
-		}
+		lo := len(sk.pairs)
 		for _, ein := range net.In(v) {
 			for _, eout := range net.Out(v) {
 				if !installedFeasible(net, conv, ein, eout) {
 					continue
 				}
-				e := a.G.AddEdgeAux(a.inNode[ein], a.outNode[eout], 0, -1)
+				e := -1
+				if !nodeDisjoint {
+					e = a.G.AddEdgeAux(a.inNode[ein], a.outNode[eout], 0, -1)
+				}
 				sk.pairs = append(sk.pairs, convPair{edge: e, node: v, ein: ein, eout: eout})
 			}
+		}
+		if !nodeDisjoint || len(sk.pairs) == lo {
+			continue
+		}
+		hubIn := 2*m + 2*n + 2*v
+		hubEdge := a.G.AddEdgeAux(hubIn, hubIn+1, 0, -1)
+		sk.hubs = append(sk.hubs, hubGadget{node: v, hubEdge: hubEdge, pairLo: lo, pairHi: len(sk.pairs)})
+		for _, ein := range net.In(v) {
+			e := a.G.AddEdgeAux(a.inNode[ein], hubIn, 0, -1)
+			sk.spokeIn = append(sk.spokeIn, linkEdgeRef{edge: e, link: ein})
+		}
+		for _, eout := range net.Out(v) {
+			e := a.G.AddEdgeAux(hubIn+1, a.outNode[eout], 0, -1)
+			sk.spokeOut = append(sk.spokeOut, linkEdgeRef{edge: e, link: eout})
 		}
 	}
 	sk.pairOK = make([]bool, len(sk.pairs))
@@ -339,30 +285,18 @@ func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleto
 		}
 	}
 
-	// Terminals. Shared skeletons get every node's terminal edges, disabled
-	// until a ReweightAt selects the pair; fixed skeletons get s's and t's.
-	sk.termOutNode = make([][]linkEdgeRef, net.Nodes())
-	sk.termInNode = make([][]linkEdgeRef, net.Nodes())
-	addOut := func(v, from int) {
-		for _, e1 := range net.Out(v) {
-			e := a.G.AddEdgeAux(from, a.outNode[e1], 0, -1)
-			sk.termOutNode[v] = append(sk.termOutNode[v], linkEdgeRef{edge: e, link: e1})
-		}
-	}
-	addIn := func(v, to int) {
-		for _, e2 := range net.In(v) {
-			e := a.G.AddEdgeAux(a.inNode[e2], to, 0, -1)
-			sk.termInNode[v] = append(sk.termInNode[v], linkEdgeRef{edge: e, link: e2})
-		}
-	}
-	if !shared {
-		addOut(s, a.S)
-		addIn(t, a.T)
-	}
+	// Terminals s′_v → u_out^e and v_in^e → t″_v for every node, disabled
+	// until a Reweight selects the pair.
 	first := a.G.M()
-	for v := range sk.srcVertex { // shared skeletons only
-		addOut(v, sk.srcVertex[v])
-		addIn(v, sk.dstVertex[v])
+	for v := 0; v < n; v++ {
+		for _, e1 := range net.Out(v) {
+			e := a.G.AddEdgeAux(2*m+2*v, a.outNode[e1], 0, -1)
+			sk.termOut[v] = append(sk.termOut[v], linkEdgeRef{edge: e, link: e1})
+		}
+		for _, e2 := range net.In(v) {
+			e := a.G.AddEdgeAux(a.inNode[e2], 2*m+2*v+1, 0, -1)
+			sk.termIn[v] = append(sk.termIn[v], linkEdgeRef{edge: e, link: e2})
+		}
 	}
 	for e := first; e < a.G.M(); e++ {
 		a.G.Disable(e)
@@ -377,69 +311,32 @@ func newSkeleton(net *wdm.Network, s, t int, nodeDisjoint, shared bool) *Skeleto
 // residual state from. net must share the skeleton's Topology; the weight
 // caches carry over, refreshed incrementally when net continues the previous
 // network's lineage and in full otherwise.
-func (sk *Skeleton) Rebind(net *wdm.Network) { sk.aux.net = net }
+func (sk *Skeleton) Rebind(net *wdm.Network) { sk.net = net }
 
-// Reweight recomputes the surviving-link filter and every edge weight in
-// place from the network's current residual state and returns the aux-graph
-// view. No vertices or edges are added or removed: dropped links and
-// infeasible conversions are Disabled, everything else Enabled with its
-// variant weight. The availability-dependent link weights and conversion
-// means are cached per StateVersion and refreshed incrementally through the
-// network's change journal — a reservation on one link recomputes only that
-// link's weight and the conversion pairs incident to it, and a threshold
-// search that only moves ϑ between rounds pays just the O(m + conv-edges)
-// filter pass. It panics when the bound network's Topology is not the one the
-// skeleton was built on, when p.NodeDisjoint disagrees with the skeleton, on
-// an invalid Base, or on a shared skeleton (which needs ReweightAt's
-// terminal pair).
-func (sk *Skeleton) Reweight(p Params) *Aux {
-	if sk.shared {
-		panic("auxgraph: shared skeleton has no fixed terminals; use ReweightAt")
-	}
-	return sk.reweight(p)
-}
-
-// ReweightAt selects (s, t) as the active terminal pair of a shared skeleton
-// and reweights: the previous pair's terminal edges are disabled, the
-// requested pair's are enabled (gated by the link filter), and everything
-// else proceeds exactly as Reweight. On a fixed skeleton it accepts only the
-// pair the skeleton was built for.
+// Reweight selects (s, t) as the active request and recomputes the
+// surviving-link filter and every edge weight in place from the bound
+// network's current residual state, returning the aux-graph view. No
+// vertices or edges are added or removed: the previous pair's terminal edges
+// are disabled and the requested pair's enabled (gated by the link filter),
+// the hubs of s and t are disabled on a node-disjoint skeleton, dropped links
+// and infeasible conversions are Disabled, and everything else is Enabled
+// with its variant weight. The availability-dependent link weights and
+// conversion means are cached per StateVersion and refreshed incrementally
+// through the network's change journal — a reservation on one link
+// recomputes only that link's weight and the conversion pairs incident to
+// it, and a threshold search that only moves ϑ between rounds pays just the
+// O(m + conv-edges) filter pass. It panics on invalid s/t, when the bound
+// network's Topology is not the one the skeleton was built on, or on an
+// invalid Base.
 //
 //wdm:hotpath
-func (sk *Skeleton) ReweightAt(s, t int, p Params) *Aux {
-	if !sk.shared {
-		if s != sk.curS || t != sk.curT {
-			panic("auxgraph: fixed skeleton built for a different (s, t); use NewSharedSkeleton")
-		}
-		return sk.reweight(p)
-	}
-	net := sk.aux.net
+func (sk *Skeleton) Reweight(s, t int, p Params) *Aux {
+	net := sk.net
 	if s < 0 || s >= net.Nodes() || t < 0 || t >= net.Nodes() {
 		panic("auxgraph: source/destination out of range")
 	}
-	g := sk.aux.G
-	if sk.curS != s && sk.curS >= 0 {
-		for _, r := range sk.termOutNode[sk.curS] {
-			g.Disable(r.edge)
-		}
-	}
-	if sk.curT != t && sk.curT >= 0 {
-		for _, r := range sk.termInNode[sk.curT] {
-			g.Disable(r.edge)
-		}
-	}
-	sk.curS, sk.curT = s, t
-	sk.aux.S = sk.srcVertex[s]
-	sk.aux.T = sk.dstVertex[t]
-	return sk.reweight(p)
-}
-
-func (sk *Skeleton) reweight(p Params) *Aux {
-	if sk.aux.net.Topology() != sk.topo {
+	if net.Topology() != sk.topo {
 		panic("auxgraph: network topology differs from the skeleton's; build a new skeleton")
-	}
-	if p.NodeDisjoint != sk.nodeDisjoint {
-		panic("auxgraph: Params.NodeDisjoint disagrees with the skeleton")
 	}
 	base := p.Base
 	if base == 0 {
@@ -451,10 +348,23 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 	defer instr.reweightTime.Stop(instr.reweightTime.Start())
 	sp := p.Trace.Begin("reweight")
 
-	net := sk.aux.net
 	g := sk.aux.G
 	keep := sk.aux.keep
 	lin, sv := net.Lineage(), net.StateVersion()
+
+	if sk.curS != s && sk.curS >= 0 {
+		for _, r := range sk.termOut[sk.curS] {
+			g.Disable(r.edge)
+		}
+	}
+	if sk.curT != t && sk.curT >= 0 {
+		for _, r := range sk.termIn[sk.curT] {
+			g.Disable(r.edge)
+		}
+	}
+	sk.curS, sk.curT = s, t
+	sk.aux.S = 2*len(sk.linkEdge) + 2*s
+	sk.aux.T = 2*len(sk.linkEdge) + 2*t + 1
 
 	// Refresh this variant's cached link-edge weights: recompute every link
 	// on the first use, on a network the journal cannot bridge to, or when
@@ -537,11 +447,13 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 
 	for _, hb := range sk.hubs {
 		sum, cnt := 0.0, 0
-		for i := hb.pairLo; i < hb.pairHi; i++ {
-			cp := sk.pairs[i]
-			if keep[cp.ein] && keep[cp.eout] && sk.pairOK[i] {
-				sum += sk.pairMean[i]
-				cnt++
+		if hb.node != s && hb.node != t { // endpoints never convert
+			for i := hb.pairLo; i < hb.pairHi; i++ {
+				cp := sk.pairs[i]
+				if keep[cp.ein] && keep[cp.eout] && sk.pairOK[i] {
+					sum += sk.pairMean[i]
+					cnt++
+				}
 			}
 		}
 		if cnt == 0 {
@@ -568,8 +480,8 @@ func (sk *Skeleton) reweight(p Params) *Aux {
 	}
 	gate(sk.spokeIn)
 	gate(sk.spokeOut)
-	gate(sk.termOutNode[sk.curS])
-	gate(sk.termInNode[sk.curT])
+	gate(sk.termOut[s])
+	gate(sk.termIn[t])
 
 	instr.reweights.Inc()
 	if p.Trace != nil {
@@ -675,8 +587,27 @@ func meanConvCost(net *wdm.Network, conv wdm.Converter, ein, eout int) (bool, fl
 	return true, sum / float64(k)
 }
 
-// Net returns the physical network the aux graph was built from.
-func (a *Aux) Net() *wdm.Network { return a.net }
+// Inventory counts what the active request's graph enables: its enabled
+// edges, and the vertices incident to at least one of them. The skeleton
+// carries every node's terminals (and, node-disjoint, every node's hub), so
+// this — not G.N()/G.M() — is the size of the §3.3.1 graph for one request.
+func (a *Aux) Inventory() (vertices, edges int) {
+	seen := make([]bool, a.G.N())
+	for id := 0; id < a.G.M(); id++ {
+		if a.G.Disabled(id) {
+			continue
+		}
+		edges++
+		e := a.G.Edge(id)
+		for _, v := range [2]int{e.From, e.To} {
+			if !seen[v] {
+				seen[v] = true
+				vertices++
+			}
+		}
+	}
+	return vertices, edges
+}
 
 // OutNode returns the aux vertex of u_out^e for link e, or −1 if the link is
 // filtered out under the current weights.
@@ -711,17 +642,4 @@ func (a *Aux) AppendMapPath(buf []int, path []int) []int {
 		}
 	}
 	return buf
-}
-
-// LinkSet translates an aux edge-ID path into the set of physical links it
-// uses — the induced subgraph G_i of §3.3 in which the Lemma 2 refinement
-// searches.
-func (a *Aux) LinkSet(path []int) map[int]bool {
-	set := make(map[int]bool)
-	for _, id := range path {
-		if aux := a.G.Edge(id).Aux; aux >= 0 {
-			set[aux] = true
-		}
-	}
-	return set
 }

@@ -26,9 +26,11 @@ func TestBuildStructureMatchesPaper(t *testing.T) {
 	net := fig1Net()
 	a := Build(net, 0, 2, Params{Kind: Cost})
 	m := net.Links()
-	// §3.3.1 / Theorem 1: G′ contains 2m edge-nodes (plus s′ and t″).
-	if got, want := a.G.N(), 2*m+2; got != want {
-		t.Fatalf("aux vertices = %d, want %d", got, want)
+	// §3.3.1 / Theorem 1: G′ contains 2m edge-nodes (plus s′ and t″). The
+	// skeleton carries every node's terminals, so count the vertices the
+	// request enables rather than G.N().
+	if got, _ := a.Inventory(); got != 2*m+2 {
+		t.Fatalf("aux vertices = %d, want %d", got, 2*m+2)
 	}
 	// One link edge per kept link.
 	linkEdges := 0
@@ -51,7 +53,7 @@ func TestBuildStructureMatchesPaper(t *testing.T) {
 	// physical node.
 	for id := 0; id < a.G.M(); id++ {
 		e := a.G.Edge(id)
-		if e.Aux >= 0 || e.From == a.S || e.To == a.T {
+		if a.G.Disabled(id) || e.Aux >= 0 || e.From == a.S || e.To == a.T {
 			continue
 		}
 		var einLink, eoutLink int = -1, -1
@@ -236,14 +238,17 @@ func TestMapPathRoundTrip(t *testing.T) {
 		}
 	}
 	// Edge-disjoint physically.
-	set1 := a.LinkSet(pair.Path1)
+	set1 := map[int]bool{}
+	for _, l := range links1 {
+		set1[l] = true
+	}
 	for _, l := range links2 {
 		if set1[l] {
 			t.Fatalf("mapped paths share physical link %d", l)
 		}
 	}
 	if len(set1) != len(links1) {
-		t.Fatal("LinkSet size mismatch")
+		t.Fatal("mapped path repeats a physical link")
 	}
 }
 
@@ -345,14 +350,6 @@ func BenchmarkBuildCost(b *testing.B) {
 	}
 }
 
-func TestNetAccessor(t *testing.T) {
-	net := fig1Net()
-	a := Build(net, 0, 2, Params{Kind: Cost})
-	if a.Net() != net {
-		t.Fatal("Net accessor wrong")
-	}
-}
-
 // Property: the §4.1 exponential congestion weight a^{(U+1)/N} − a^{U/N} is
 // strictly increasing and convex in U — the property that makes Suurballe's
 // minimum-weight pair avoid loaded links superlinearly.
@@ -397,13 +394,28 @@ func TestQuickLoadWeightMonotoneConvex(t *testing.T) {
 	}
 }
 
+// buildNodeDisjoint is Build on a node-disjoint skeleton.
+func buildNodeDisjoint(net *wdm.Network, s, t int, p Params) *Aux {
+	return NewSkeleton(net, true).Reweight(s, t, p)
+}
+
 func TestNodeDisjointHubStructure(t *testing.T) {
 	net := fig1Net()
-	a := Build(net, 0, 2, Params{Kind: Cost, NodeDisjoint: true})
-	// Hub gadget adds 2 vertices per intermediate node (nodes 1 and 3).
+	a := buildNodeDisjoint(net, 0, 2, Params{Kind: Cost})
+	// The hub gadget adds 2 vertices per node; the request enables only the
+	// hub edges of its intermediate nodes (1 and 3), i.e. 4 hub vertices.
 	plain := Build(net, 0, 2, Params{Kind: Cost})
-	if a.G.N() != plain.G.N()+4 {
-		t.Fatalf("aux vertices = %d, want %d", a.G.N(), plain.G.N()+4)
+	if a.G.N() != plain.G.N()+2*net.Nodes() {
+		t.Fatalf("aux vertices = %d, want %d", a.G.N(), plain.G.N()+2*net.Nodes())
+	}
+	hubEdges := 0
+	for id := 0; id < a.G.M(); id++ {
+		if e := a.G.Edge(id); !a.G.Disabled(id) && e.From >= plain.G.N() && e.To >= plain.G.N() {
+			hubEdges++
+		}
+	}
+	if hubEdges != 2 {
+		t.Fatalf("enabled hub edges = %d, want 2 (4 hub vertices)", hubEdges)
 	}
 	// The pair found is node-disjoint: map and check.
 	pair, ok := disjoint.Suurballe(a.G, a.S, a.T)
@@ -428,12 +440,12 @@ func TestNodeDisjointHubStructure(t *testing.T) {
 func TestNodeDisjointWithLoadKind(t *testing.T) {
 	net := fig1Net()
 	net.Use(0, 0) // some load so the exponential weights differ
-	a := Build(net, 0, 2, Params{Kind: Load, Threshold: 1, NodeDisjoint: true})
+	a := buildNodeDisjoint(net, 0, 2, Params{Kind: Load, Threshold: 1})
 	if _, ok := disjoint.Suurballe(a.G, a.S, a.T); !ok {
 		t.Fatal("load-kind node-disjoint pair must exist")
 	}
 	// LoadCost variant too.
-	a = Build(net, 0, 2, Params{Kind: LoadCost, Threshold: 1, NodeDisjoint: true})
+	a = buildNodeDisjoint(net, 0, 2, Params{Kind: LoadCost, Threshold: 1})
 	if _, ok := disjoint.Suurballe(a.G, a.S, a.T); !ok {
 		t.Fatal("loadcost-kind node-disjoint pair must exist")
 	}
@@ -446,7 +458,7 @@ func TestNodeDisjointUntraversableNode(t *testing.T) {
 	net.AddLink(0, 1, []wdm.Wavelength{0}, []float64{1})
 	net.AddLink(1, 2, []wdm.Wavelength{1}, []float64{1})
 	net.SetAllConverters(wdm.NoConverter{})
-	a := Build(net, 0, 2, Params{Kind: Cost, NodeDisjoint: true})
+	a := buildNodeDisjoint(net, 0, 2, Params{Kind: Cost})
 	if a.G.Reachable(a.S, a.T) {
 		t.Fatal("untraversable hub should disconnect the aux graph")
 	}

@@ -33,12 +33,14 @@ func BuildAlternateTable(net *wdm.Network, k int, opts *Options) *AlternateTable
 	}
 	n := net.Nodes()
 	tbl := &AlternateTable{k: k, n: n, routes: make([][][2][]int, n*n)}
+	sk := auxgraph.NewSkeleton(net, false)
 	for s := 0; s < n; s++ {
 		for t := 0; t < n; t++ {
 			if s == t {
 				continue
 			}
-			a := auxgraph.Build(net, s, t, auxgraph.Params{Kind: auxgraph.Cost})
+			// Reweight re-enables the link edges the previous pair excluded.
+			a := sk.Reweight(s, t, auxgraph.Params{Kind: auxgraph.Cost})
 			excluded := map[int]bool{}
 			for alt := 0; alt < k; alt++ {
 				// Disable aux link edges of already-used physical links.
@@ -62,7 +64,6 @@ func BuildAlternateTable(net *wdm.Network, k int, opts *Options) *AlternateTable
 					excluded[id] = true
 				}
 			}
-			a.G.EnableAll()
 		}
 	}
 	return tbl

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/exact"
+	"repro/internal/topo"
 	"repro/internal/wdm"
 )
 
@@ -269,6 +270,27 @@ func TestDegenerateRequests(t *testing.T) {
 		}
 	}()
 	ApproxMinCost(net, -1, 3, nil)
+}
+
+// TestSameEndpointsRefused: a connection needs two distinct endpoints, so
+// every Router routing call answers s == t with (nil, false) instead of a
+// primary and a backup that are loops through a neighbour.
+func TestSameEndpointsRefused(t *testing.T) {
+	net := topo.NSFNET(topo.Config{W: 8})
+	r := NewRouter(nil)
+	for _, c := range []struct {
+		name  string
+		route func(*wdm.Network, int, int) (*Result, bool)
+	}{
+		{"ApproxMinCost", r.ApproxMinCost},
+		{"ApproxMinCostNodeDisjoint", r.ApproxMinCostNodeDisjoint},
+		{"MinLoad", r.MinLoad},
+		{"MinLoadCost", r.MinLoadCost},
+	} {
+		if res, ok := c.route(net, 3, 3); ok || res != nil {
+			t.Errorf("%s(3, 3) = %+v, %v; want nil, false", c.name, res, ok)
+		}
+	}
 }
 
 // randomWDM builds a connected random residual network under the paper's

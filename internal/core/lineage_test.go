@@ -186,3 +186,32 @@ func resultString(r *Result, ok bool) string {
 	return fmt.Sprintf("%v|%v|%v|%v|%v|%v", r.Primary.Hops, r.Backup.Hops,
 		r.Cost, r.AuxWeight, r.PathLoad, r.Threshold)
 }
+
+// TestNodeDisjointSkeletonBuiltOnce: node-disjoint requests share one
+// skeleton per topology, like edge-disjoint ones — the endpoint exemption is
+// applied per Reweight, not baked into a per-pair build.
+func TestNodeDisjointSkeletonBuiltOnce(t *testing.T) {
+	reg := metrics.NewRegistry()
+	auxgraph.EnableMetrics(reg)
+	defer auxgraph.EnableMetrics(nil)
+	builds := reg.Counter("auxgraph_builds_total", "")
+
+	net := topo.NSFNET(topo.Config{W: 8})
+	r := NewRouter(nil)
+	before := builds.Value()
+	for pass := 0; pass < 3; pass++ {
+		for s := 0; s < net.Nodes(); s++ {
+			for d := 0; d < net.Nodes(); d++ {
+				if s == d {
+					continue
+				}
+				if _, ok := r.ApproxMinCostNodeDisjoint(net, s, d); !ok {
+					t.Fatalf("pass %d: no node-disjoint pair %d→%d", pass, s, d)
+				}
+			}
+		}
+	}
+	if got := builds.Value() - before; got != 1 {
+		t.Fatalf("3 passes over every NSFNET pair built %d skeletons, want 1", got)
+	}
+}

@@ -13,12 +13,13 @@ import (
 
 // Router is the reusable engine behind the package-level routing functions.
 // It owns every piece of per-request scratch state — the Suurballe workspace
-// (two Dijkstra workspaces, residual graph, combine buffers) and a cache of
-// auxiliary-graph skeletons keyed by (s, t, node-disjointness) — so that a
-// long-lived caller (a simulator arrival loop, a benchmark worker) routes
-// requests without rebuilding the auxiliary graph or reallocating search
-// state on every call. The MinCog threshold search in particular reweights
-// one skeleton per round instead of constructing a fresh graph per round.
+// (two Dijkstra workspaces, residual graph, combine buffers) and at most two
+// auxiliary-graph skeletons, one edge- and one node-disjoint, each serving
+// every (s, t) — so that a long-lived caller (a simulator arrival loop, a
+// benchmark worker) routes requests without rebuilding the auxiliary graph
+// or reallocating search state on every call. The MinCog threshold search in
+// particular reweights one skeleton per round instead of constructing a
+// fresh graph per round.
 //
 // The skeleton and candidate caches are keyed on the *wdm.Topology of the
 // network routed on, not on the network: a router that moves to a Clone or
@@ -27,15 +28,17 @@ import (
 // the old one's state lineage, in full otherwise) instead of rebuilding
 // them. A structural edit (AddLink, SetConverter, SetSRLG) gives the network
 // a new Topology, so the next call rebuilds. Workspaces are kept across
-// everything, as they adapt to any graph size. A Router is not safe for
-// concurrent use; give each goroutine its own (e.g. one per
-// parallel.MapWithState worker).
+// everything, as they adapt to any graph size.
+//
+// Every routing method returns (nil, false) for s == t: a connection needs
+// two distinct endpoints. A Router is not safe for concurrent use; give each
+// goroutine its own (e.g. one per parallel.MapWithState worker).
 type Router struct {
-	opts   *Options
-	topo   *wdm.Topology // structure the skeleton and candidate caches belong to
-	ws     disjoint.Workspace
-	skels  map[[2]int]*auxgraph.Skeleton // node-disjoint skeletons, per (s, t)
-	shared *auxgraph.Skeleton            // one all-terminal skeleton for every edge-disjoint pair
+	opts     *Options
+	topo     *wdm.Topology // structure the skeleton and candidate caches belong to
+	ws       disjoint.Workspace
+	edgeSkel *auxgraph.Skeleton // edge-disjoint skeleton, built on first use of topo
+	nodeSkel *auxgraph.Skeleton // node-disjoint skeleton, likewise
 
 	candTab *CandidateTable // lazily built when Options.Candidates > 0
 	cand    candScratch
@@ -82,8 +85,7 @@ func (r *Router) LastTier() Tier { return r.lastTier }
 func (r *Router) rebind(net *wdm.Network) {
 	if t := net.Topology(); t != r.topo {
 		r.topo = t
-		clear(r.skels)
-		r.shared = nil
+		r.edgeSkel, r.nodeSkel = nil, nil
 		r.candTab = nil
 	}
 }
@@ -152,37 +154,27 @@ func (r *Router) finish(tc *obs.Trace, net *wdm.Network, res *Result, ok, loadAu
 	tc.Finish(obs.StatusOK)
 }
 
-// skeleton returns the cached skeleton for (s, t) bound to net, building
-// one on first use of net's topology. Edge-disjoint requests share a single
-// all-terminal skeleton whose ReweightAt selects the pair; node-disjoint
-// requests keep per-(s, t) skeletons, since the hub gadgets exempt s and t.
+// skeleton returns the cached edge- or node-disjoint skeleton bound to net,
+// building it on first use of net's topology. Each serves every (s, t):
+// Reweight selects the request's pair.
 //
 //wdm:coldpath builds only on a topology the router has not routed on; auxgraph_builds_total counts each build
-func (r *Router) skeleton(net *wdm.Network, s, t int, nodeDisjoint bool, tc *obs.Trace) *auxgraph.Skeleton {
+func (r *Router) skeleton(net *wdm.Network, nodeDisjoint bool, tc *obs.Trace) *auxgraph.Skeleton {
 	r.rebind(net)
-	sk := r.shared
+	slot := &r.edgeSkel
 	if nodeDisjoint {
-		sk = r.skels[[2]int{s, t}]
+		slot = &r.nodeSkel
 	}
-	if sk != nil {
-		sk.Rebind(net)
+	if *slot != nil {
+		(*slot).Rebind(net)
 		tc.Str("skeleton", "cache-hit")
-		return sk
+		return *slot
 	}
 	sp := tc.Begin("skeleton-build")
-	if nodeDisjoint {
-		sk = auxgraph.NewSkeleton(net, s, t, true)
-		if r.skels == nil {
-			r.skels = make(map[[2]int]*auxgraph.Skeleton)
-		}
-		r.skels[[2]int{s, t}] = sk
-	} else {
-		sk = auxgraph.NewSharedSkeleton(net)
-		r.shared = sk
-	}
+	*slot = auxgraph.NewSkeleton(net, nodeDisjoint)
 	tc.EndSpan(sp)
 	tc.Str("skeleton", "build")
-	return sk
+	return *slot
 }
 
 // ApproxMinCost routes (s, t) per §3.3 — see the package-level ApproxMinCost.
@@ -190,6 +182,9 @@ func (r *Router) skeleton(net *wdm.Network, s, t int, nodeDisjoint bool, tc *obs
 // Options.CandidateTable) it is tried first; the exact auxiliary-graph
 // pipeline runs only when no cached candidate pair is currently feasible.
 func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
+	if s == t {
+		return nil, false
+	}
 	instr.routeCalls.Inc()
 	tc := r.begin("min-cost", s, t)
 	if tab := r.candidateTable(net); tab != nil {
@@ -206,7 +201,7 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 		tc.Str("tier", "exact-fallback")
 	}
 	tb := instr.phaseBuild.Start()
-	a := r.skeleton(net, s, t, false, tc).ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.Cost, Trace: tc})
+	a := r.skeleton(net, false, tc).Reweight(s, t, auxgraph.Params{Kind: auxgraph.Cost, Trace: tc})
 	instr.phaseBuild.Stop(tb)
 	td := instr.phaseDisjoint.Start()
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
@@ -226,10 +221,13 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 // ApproxMinCostNodeDisjoint routes (s, t) with an internally node-disjoint
 // pair — see the package-level ApproxMinCostNodeDisjoint.
 func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result, bool) {
+	if s == t {
+		return nil, false
+	}
 	instr.routeCalls.Inc()
 	tc := r.begin("min-cost-node-disjoint", s, t)
 	tb := instr.phaseBuild.Start()
-	a := r.skeleton(net, s, t, true, tc).Reweight(auxgraph.Params{Kind: auxgraph.Cost, NodeDisjoint: true, Trace: tc})
+	a := r.skeleton(net, true, tc).Reweight(s, t, auxgraph.Params{Kind: auxgraph.Cost, Trace: tc})
 	instr.phaseBuild.Stop(tb)
 	td := instr.phaseDisjoint.Start()
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
@@ -277,10 +275,10 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc
 	if !any {
 		return 0, nil, nil, 0, false
 	}
-	sk := r.skeleton(net, s, t, false, tc)
+	sk := r.skeleton(net, false, tc)
 	//wdmlint:ignore hotalloc non-escaping closure; stays on the stack
 	try := func(theta float64) (*auxgraph.Aux, *disjoint.Pair, bool) {
-		a := sk.ReweightAt(s, t, auxgraph.Params{Kind: kind, Threshold: theta, Base: r.opts.base(), Trace: tc})
+		a := sk.Reweight(s, t, auxgraph.Params{Kind: kind, Threshold: theta, Base: r.opts.base(), Trace: tc})
 		pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
 		return a, pair, ok
 	}
@@ -320,6 +318,9 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc
 
 // MinLoad routes (s, t) per §4.1 — see the package-level MinLoad.
 func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
+	if s == t {
+		return nil, false
+	}
 	instr.routeCalls.Inc()
 	tc := r.begin("min-load", s, t)
 	theta, a, pair, iters, ok := r.minCogSearch(net, s, t, auxgraph.Load, tc)
@@ -341,6 +342,9 @@ func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 
 // MinLoadCost routes (s, t) per §4.2 — see the package-level MinLoadCost.
 func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
+	if s == t {
+		return nil, false
+	}
 	instr.routeCalls.Inc()
 	tc := r.begin("min-load-cost", s, t)
 	theta, _, _, iters, ok := r.minCogSearch(net, s, t, auxgraph.Load, tc)
@@ -348,9 +352,9 @@ func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 		r.finish(tc, net, nil, false, false)
 		return nil, false
 	}
-	sk := r.skeleton(net, s, t, false, tc)
+	sk := r.skeleton(net, false, tc)
 	tb := instr.phaseBuild.Start()
-	a := sk.ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.LoadCost, Threshold: theta, Base: r.opts.base(), Trace: tc})
+	a := sk.Reweight(s, t, auxgraph.Params{Kind: auxgraph.LoadCost, Threshold: theta, Base: r.opts.base(), Trace: tc})
 	instr.phaseBuild.Stop(tb)
 	td := instr.phaseDisjoint.Start()
 	pair, ok := r.ws.Suurballe(a.G, a.S, a.T)
@@ -358,7 +362,7 @@ func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 	if !ok {
 		// ϑ was certified feasible on the identical G_c skeleton; reaching
 		// here means numerics only. Fall back to the full residual graph.
-		a = sk.ReweightAt(s, t, auxgraph.Params{Kind: auxgraph.LoadCost, Threshold: math.Inf(1), Trace: tc})
+		a = sk.Reweight(s, t, auxgraph.Params{Kind: auxgraph.LoadCost, Threshold: math.Inf(1), Trace: tc})
 		pair, ok = r.ws.Suurballe(a.G, a.S, a.T)
 		if !ok {
 			r.finish(tc, net, nil, false, false)
@@ -410,11 +414,11 @@ func (r *Router) OptimalLoadOracle(net *wdm.Network, s, t int) (float64, bool) {
 		cands = append(cands, r)
 	}
 	sort.Float64s(cands)
-	sk := r.skeleton(net, s, t, false, nil)
+	sk := r.skeleton(net, false, nil)
 	for _, c := range cands {
 		// Exact filter: keep exactly the links whose post-routing ratio
 		// (U+1)/N stays within the candidate cap.
-		a := sk.ReweightAt(s, t, auxgraph.Params{
+		a := sk.Reweight(s, t, auxgraph.Params{
 			Kind: auxgraph.Load,
 			Filter: func(id int) bool {
 				l := net.Link(id)
