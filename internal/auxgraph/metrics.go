@@ -24,7 +24,7 @@ func EnableMetrics(r *metrics.Registry) {
 		buildTime:    r.Timer("auxgraph_build_seconds", "auxiliary graph skeleton construction time"),
 		reweights:    r.Counter("auxgraph_reweights_total", "in-place skeleton reweights"),
 		reweightTime: r.Timer("auxgraph_reweight_seconds", "in-place skeleton reweight time"),
-		vertices:     r.Histogram("auxgraph_vertices", "vertex count per auxiliary graph", metrics.SizeBuckets()),
-		edges:        r.Histogram("auxgraph_edges", "edge count per auxiliary graph", metrics.SizeBuckets()),
+		vertices:     r.Histogram("auxgraph_vertices", "vertex count per auxiliary graph"),
+		edges:        r.Histogram("auxgraph_edges", "edge count per auxiliary graph"),
 	}
 }

@@ -42,8 +42,8 @@ func EnableMetrics(r *metrics.Registry) {
 		phaseDisjoint:      r.Timer("core_phase_disjoint_seconds", "Suurballe phase time (cost pipeline)"),
 		phaseRefine:        r.Timer("core_phase_refine_seconds", "Lemma 2 refinement phase time"),
 		phaseMinCog:        r.Timer("core_phase_mincog_seconds", "MinCog threshold search phase time"),
-		mincogIters:        r.Histogram("core_mincog_iterations", "theta iterations per MinCog search", metrics.LogBuckets(1, 128, 4)),
-		refineRatio:        r.Histogram("core_refine_improvement_ratio", "refined cost / first-fit cost per pair", metrics.LogBuckets(0.125, 8, 9)),
+		mincogIters:        r.Histogram("core_mincog_iterations", "theta iterations per MinCog search"),
+		refineRatio:        r.Histogram("core_refine_improvement_ratio", "refined cost / first-fit cost per pair"),
 		firstFitFallbacks:  r.Counter("core_firstfit_fallback_total", "routes kept on first-fit because refinement was infeasible"),
 		candidateHits:      r.Counter("core_candidate_hits_total", "requests served by the candidate fast tier"),
 		candidateFallbacks: r.Counter("core_candidate_fallback_total", "candidate-tier misses that fell back to exact routing"),

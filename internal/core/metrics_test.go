@@ -66,14 +66,14 @@ func TestMetricsCoverRoutingPipeline(t *testing.T) {
 		"core_mincog_iterations",
 		"core_refine_improvement_ratio",
 	} {
-		if r.Histogram(name, "", nil).Count() == 0 {
+		if r.Histogram(name, "").Count() == 0 {
 			t.Fatalf("%s has no observations", name)
 		}
 	}
 	// Lemma 2: refined cost never exceeds the first-fit cost, so every ratio
 	// observation — and hence the mean — is ≤ 1. (Quantile would only give
 	// the enclosing bucket's upper bound.)
-	if m := r.Histogram("core_refine_improvement_ratio", "", nil).Mean(); m > 1+1e-9 {
+	if m := r.Histogram("core_refine_improvement_ratio", "").Mean(); m > 1+1e-9 {
 		t.Fatalf("refine ratio mean = %g, want ≤ 1", m)
 	}
 }

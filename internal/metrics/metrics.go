@@ -1,8 +1,8 @@
 // Package metrics is the dependency-free instrumentation layer for the
 // routing engine and simulator. It provides atomic counters, gauges,
-// histograms with fixed log-spaced buckets, and phase timers, collected in a
-// Registry that renders snapshots in the Prometheus text exposition format
-// or as JSON.
+// histograms over one fixed log-spaced bucket layout, and phase timers,
+// collected in a Registry that renders snapshots in the Prometheus text
+// exposition format or as JSON.
 //
 // Two properties make it safe to wire into hot paths unconditionally:
 //
@@ -95,31 +95,37 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed buckets (upper bounds, with an
-// implicit +Inf overflow bucket) and tracks the total sum and count. A nil
-// *Histogram is a no-op.
+// The one bucket layout every histogram shares: bucketsPerDecade log-spaced
+// upper bounds per factor of 10 from 10^minDecade to 10^maxDecade (127
+// bounds), plus the implicit +Inf overflow bucket. It covers durations from
+// 100 ns as well as counts and ratios up to 10⁷; a bucketed quantile
+// over-estimates the exact one by at most 10^(1/9) ≈ 1.29×.
+const (
+	bucketsPerDecade = 9
+	minDecade        = -7
+	maxDecade        = 7
+	numBounds        = (maxDecade-minDecade)*bucketsPerDecade + 1
+)
+
+// bounds holds the layout's upper bounds, each computed directly as
+// 10^d · 10^(j/9) so every decade edge is exact: an observation of exactly
+// 10µs lands in the le="1e-05" bucket.
+var bounds = func() []float64 {
+	b := make([]float64, numBounds)
+	for i := range b {
+		d, j := i/bucketsPerDecade, i%bucketsPerDecade
+		b[i] = math.Pow10(minDecade+d) * math.Pow(10, float64(j)/bucketsPerDecade)
+	}
+	return b
+}()
+
+// Histogram counts observations into the shared bucket layout (le
+// semantics) and tracks the total sum and count. The zero value is ready; a
+// nil *Histogram is a no-op. A Histogram must not be copied after first use.
 type Histogram struct {
-	bounds  []float64 // strictly increasing upper bounds (le semantics)
-	counts  []atomic.Int64
+	counts  [numBounds + 1]atomic.Int64
 	n       atomic.Int64
 	sumBits atomic.Uint64
-}
-
-// NewHistogram builds a standalone histogram (outside any registry) over the
-// given strictly increasing upper bounds; nil bounds default to time buckets.
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = TimeBuckets()
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("metrics: histogram bounds not strictly increasing")
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
 }
 
 // Observe folds one sample into the histogram.
@@ -127,7 +133,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
+	h.counts[sort.SearchFloat64s(bounds, v)].Add(1)
 	h.n.Add(1)
 	for {
 		old := h.sumBits.Load()
@@ -202,8 +208,8 @@ func (h *Histogram) Buckets() []Bucket {
 	for i := range h.counts {
 		cum += h.counts[i].Load()
 		le := math.Inf(1)
-		if i < len(h.bounds) {
-			le = h.bounds[i]
+		if i < numBounds {
+			le = bounds[i]
 		}
 		out[i] = Bucket{LE: le, Count: cum}
 	}
@@ -226,8 +232,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i := range h.counts {
 		cum += h.counts[i].Load()
 		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
+			if i < numBounds {
+				return bounds[i]
 			}
 			return math.Inf(1)
 		}
@@ -280,29 +286,6 @@ func (t *Timer) Hist() *Histogram {
 	return t.h
 }
 
-// LogBuckets returns log-spaced upper bounds from lo up to and including the
-// first bound ≥ hi, with perDecade bounds per factor of 10. lo must be
-// positive and hi > lo.
-func LogBuckets(lo, hi float64, perDecade int) []float64 {
-	if lo <= 0 || hi <= lo || perDecade < 1 {
-		panic("metrics: invalid log bucket spec")
-	}
-	ratio := math.Pow(10, 1/float64(perDecade))
-	var out []float64
-	for b := lo; ; b *= ratio {
-		out = append(out, b)
-		if b >= hi {
-			return out
-		}
-	}
-}
-
-// TimeBuckets is the default duration bucketing: 1µs → 10s, 3 per decade.
-func TimeBuckets() []float64 { return LogBuckets(1e-6, 10, 3) }
-
-// SizeBuckets is the default size/count bucketing: 1 → 10⁶, 3 per decade.
-func SizeBuckets() []float64 { return LogBuckets(1, 1e6, 3) }
-
 // metric kinds in exposition output.
 const (
 	kindCounter   = "counter"
@@ -351,7 +334,7 @@ func validName(name string) bool {
 // lookup registers a new metric under name (constructing its instrument
 // under the registry lock) or returns the existing one, panicking on a kind
 // clash (a programming error, like Prometheus client libraries treat it).
-func (r *Registry) lookup(name, help, kind string, bounds []float64) *metric {
+func (r *Registry) lookup(name, help, kind string) *metric {
 	if !validName(name) {
 		panic("metrics: invalid metric name " + strconv.Quote(name))
 	}
@@ -370,7 +353,7 @@ func (r *Registry) lookup(name, help, kind string, bounds []float64) *metric {
 	case kindGauge:
 		m.g = &Gauge{}
 	case kindHistogram:
-		m.h = NewHistogram(bounds)
+		m.h = &Histogram{}
 	}
 	r.byName[name] = m
 	r.order = append(r.order, m)
@@ -383,7 +366,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindCounter, nil).c
+	return r.lookup(name, help, kindCounter).c
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
@@ -391,25 +374,25 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindGauge, nil).g
+	return r.lookup(name, help, kindGauge).g
 }
 
-// Histogram returns the histogram registered under name, creating it with
-// the given bounds on first use (nil bounds → TimeBuckets).
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
+// Histogram returns the histogram registered under name, creating it on
+// first use.
+func (r *Registry) Histogram(name, help string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindHistogram, bounds).h
+	return r.lookup(name, help, kindHistogram).h
 }
 
 // Timer returns a phase timer whose histogram (of seconds) is registered
-// under name with the default time buckets.
+// under name.
 func (r *Registry) Timer(name, help string) *Timer {
 	if r == nil {
 		return nil
 	}
-	return &Timer{h: r.Histogram(name, help, TimeBuckets())}
+	return &Timer{h: r.Histogram(name, help)}
 }
 
 // snapshotOrder returns the metrics in registration order.

@@ -44,11 +44,11 @@ func TestSimMetricsMatchRunCounters(t *testing.T) {
 		t.Fatalf("teardowns %d + dropped %d != accepted %d", tear, m.RecoveryFailed, m.Accepted)
 	}
 	// Routing latency histogram saw every arrival.
-	if n := r.Histogram("netsim_route_seconds", "", nil).Count(); n != int64(m.Offered) {
+	if n := r.Histogram("netsim_route_seconds", "").Count(); n != int64(m.Offered) {
 		t.Fatalf("route observations = %d, offered = %d", n, m.Offered)
 	}
 	if m.Recovered > 0 {
-		if n := r.Histogram("netsim_restore_seconds", "", nil).Count(); n == 0 {
+		if n := r.Histogram("netsim_restore_seconds", "").Count(); n == 0 {
 			t.Fatal("no restoration latency observations")
 		}
 	}

@@ -69,7 +69,7 @@ func NewTelemetry(window float64, retention int) *Telemetry {
 	return &Telemetry{
 		clock:     clock,
 		col:       col,
-		routeLat:  col.Histogram(SeriesRouteLatency, nil),
+		routeLat:  col.Histogram(SeriesRouteLatency),
 		blocking:  col.Ratio(SeriesBlocking),
 		accepted:  col.Rate(SeriesAccepted),
 		reroutes:  col.Rate(SeriesReroutes),

@@ -1,24 +1,33 @@
 package pq
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// TestHeapsAgreeOnRandomStreams drives the indexed binary heap and the
-// pairing heap with the same random push/decrease-key/pop stream and demands
-// identical (value, priority) pop sequences. Priorities are drawn unique so
-// ties cannot legally reorder the two implementations; decrease-keys always
-// go strictly below the current global minimum or strictly between existing
-// keys, staying unique.
+// TestHeapsAgreeOnRandomStreams drives the indexed binary heap and a map
+// oracle (id → priority, minimum found by scan) with the same random
+// push/decrease-key/pop stream and demands identical (value, priority) pop
+// sequences. Priorities are drawn unique so ties cannot legally reorder the
+// two; decrease-keys always go strictly below the current key, staying
+// unique.
 func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 64
 		ih := NewIndexedHeap(n)
-		ph := NewPairingHeap()
-		nodes := make([]*PairingNode, n)
+		oracle := map[int]float64{}
+		oracleMin := func() (int, float64) {
+			best, bp := -1, math.Inf(1)
+			for id, p := range oracle {
+				if p < bp {
+					best, bp = id, p
+				}
+			}
+			return best, bp
+		}
 		used := map[float64]bool{}
 		draw := func() float64 {
 			for {
@@ -39,43 +48,40 @@ func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 				}
 				p := draw()
 				ih.Push(id, p)
-				nodes[id] = ph.Push(id, p)
+				oracle[id] = p
 				inHeap = append(inHeap, id)
 			case r < 7: // decrease a random queued key
 				if len(inHeap) == 0 {
 					continue
 				}
 				id := inHeap[rng.Intn(len(inHeap))]
-				cur := ih.Priority(id)
-				p := cur * rng.Float64()
+				p := ih.Priority(id) * rng.Float64()
 				if used[p] {
 					continue
 				}
 				used[p] = true
 				ih.DecreaseKey(id, p)
-				ph.DecreaseKey(nodes[id], p)
+				oracle[id] = p
 			default: // pop
-				if ih.Len() != ph.Len() {
-					t.Logf("Len diverged: indexed %d, pairing %d", ih.Len(), ph.Len())
+				if ih.Len() != len(oracle) {
+					t.Logf("Len diverged: indexed %d, oracle %d", ih.Len(), len(oracle))
 					return false
 				}
 				if ih.Empty() {
 					continue
 				}
-				iv, ip := ih.Peek()
-				pv, pp := ph.Peek()
-				if iv != pv || ip != pp {
-					t.Logf("Peek diverged: indexed (%d,%g), pairing (%d,%g)", iv, ip, pv, pp)
+				ov, op := oracleMin()
+				if iv, ip := ih.Peek(); iv != ov || ip != op {
+					t.Logf("Peek diverged: indexed (%d,%g), oracle (%d,%g)", iv, ip, ov, op)
 					return false
 				}
-				iv, ip = ih.Pop()
-				pv, pp = ph.Pop()
-				if iv != pv || ip != pp {
-					t.Logf("Pop diverged: indexed (%d,%g), pairing (%d,%g)", iv, ip, pv, pp)
+				if iv, ip := ih.Pop(); iv != ov || ip != op {
+					t.Logf("Pop diverged: indexed (%d,%g), oracle (%d,%g)", iv, ip, ov, op)
 					return false
 				}
+				delete(oracle, ov)
 				for k, id := range inHeap {
-					if id == iv {
+					if id == ov {
 						inHeap = append(inHeap[:k], inHeap[k+1:]...)
 						break
 					}
@@ -86,10 +92,10 @@ func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 		// strictly increasing priority order.
 		last := -1.0
 		for !ih.Empty() {
+			ov, op := oracleMin()
 			iv, ip := ih.Pop()
-			pv, pp := ph.Pop()
-			if iv != pv || ip != pp {
-				t.Logf("drain diverged: indexed (%d,%g), pairing (%d,%g)", iv, ip, pv, pp)
+			if iv != ov || ip != op {
+				t.Logf("drain diverged: indexed (%d,%g), oracle (%d,%g)", iv, ip, ov, op)
 				return false
 			}
 			if ip <= last {
@@ -97,8 +103,9 @@ func TestHeapsAgreeOnRandomStreams(t *testing.T) {
 				return false
 			}
 			last = ip
+			delete(oracle, ov)
 		}
-		return ph.Empty()
+		return len(oracle) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -95,7 +95,7 @@ func post(hc *http.Client, url string, req Request) (Response, error) {
 func Drive(baseURL string, cfg DriveConfig) (DriveReport, error) {
 	var (
 		next    atomic.Int64
-		lat     = metrics.NewHistogram(nil)
+		lat     metrics.Histogram
 		prov    atomic.Int64
 		acc     atomic.Int64
 		blocked atomic.Int64

@@ -100,7 +100,7 @@ func (r SoakReport) String() string {
 func RunSoak(e *Engine, cfg SoakConfig) (SoakReport, error) {
 	var (
 		next    atomic.Int64
-		lat     = metrics.NewHistogram(nil) // atomic; shared across clients
+		lat     metrics.Histogram // atomic; shared across clients
 		prov    atomic.Int64
 		acc     atomic.Int64
 		blocked atomic.Int64

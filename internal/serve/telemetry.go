@@ -116,7 +116,7 @@ func newTelemetry(e *Engine, window float64, retention int) *telemetry {
 		e:        e,
 		col:      col,
 		clock:    clock,
-		reqLat:   col.Histogram(SeriesRequestLatency, nil),
+		reqLat:   col.Histogram(SeriesRequestLatency),
 		blocking: col.Ratio(SeriesBlocking),
 		accepted: col.Rate(SeriesAccepted),
 		tears:    col.Rate(SeriesTeardowns),
@@ -129,12 +129,12 @@ func newTelemetry(e *Engine, window float64, retention int) *telemetry {
 		loadMax:  col.Gauge(SeriesLinkLoadMax),
 		fragMean: col.Gauge(SeriesFragMean),
 
-		stQueue:  col.Histogram(SeriesStageQueue, nil),
-		stSnap:   col.Histogram(SeriesStageSnapshot, nil),
-		stRoute:  col.Histogram(SeriesStageRoute, nil),
-		stCommit: col.Histogram(SeriesStageCommit, nil),
-		stRer:    col.Histogram(SeriesStageReroute, nil),
-		stDecode: col.Histogram(SeriesStageDecode, nil),
+		stQueue:  col.Histogram(SeriesStageQueue),
+		stSnap:   col.Histogram(SeriesStageSnapshot),
+		stRoute:  col.Histogram(SeriesStageRoute),
+		stCommit: col.Histogram(SeriesStageCommit),
+		stRer:    col.Histogram(SeriesStageReroute),
+		stDecode: col.Histogram(SeriesStageDecode),
 
 		goroutines: col.Gauge(SeriesGoroutines),
 		heapBytes:  col.Gauge(SeriesHeapBytes),

@@ -39,7 +39,7 @@ func testBreach() Breach {
 func TestCaptureBundle(t *testing.T) {
 	clock := timeseries.NewSimClock()
 	col := timeseries.New(timeseries.Config{Window: 1, Clock: clock})
-	lat := col.Histogram("lat", nil)
+	lat := col.Histogram("lat")
 	for i := 1; i <= 3; i++ {
 		lat.Observe(0.5)
 		clock.Advance(float64(i))

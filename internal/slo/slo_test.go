@@ -27,7 +27,7 @@ func newHarness(t *testing.T, objs ...Objective) *harness {
 	h := &harness{
 		clock: clock,
 		col:   col,
-		lat:   col.Histogram("lat", nil),
+		lat:   col.Histogram("lat"),
 		block: col.Ratio("blocking"),
 		confl: col.Rate("conflicts"),
 		epoch: col.Rate("epochs"),

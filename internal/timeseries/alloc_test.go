@@ -13,7 +13,7 @@ import "testing"
 // allocations — so the simulator hot path can call unconditionally.
 func TestDisabledAddsNoAllocs(t *testing.T) {
 	var c *Collector
-	h := c.Histogram("x", nil)
+	h := c.Histogram("x")
 	r := c.Rate("x")
 	ratio := c.Ratio("x")
 	g := c.Gauge("x")
@@ -35,7 +35,7 @@ func TestDisabledAddsNoAllocs(t *testing.T) {
 // allocations.
 func TestSteadyStateObserveAllocsFree(t *testing.T) {
 	c := newSimCol(1e9, 0) // one giant window: no seals during the run
-	h := c.Histogram("lat", nil)
+	h := c.Histogram("lat")
 	r := c.Rate("n")
 	ratio := c.Ratio("b")
 	g := c.Gauge("v")

@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // platforms — the simulator's own latencies are wall-clock and would not be.
 func fillDeterministic(c simCol) {
 	rng := rand.New(rand.NewSource(7))
-	h := c.Histogram("route_latency_seconds", nil)
+	h := c.Histogram("route_latency_seconds")
 	acc := c.Rate("accepted")
 	blk := c.Ratio("blocking")
 	load := c.Gauge("link_load_mean")

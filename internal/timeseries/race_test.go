@@ -12,7 +12,7 @@ import (
 // internally consistent".
 func TestConcurrentScrape(t *testing.T) {
 	c := newSimCol(1, 16)
-	h := c.Histogram("lat", nil)
+	h := c.Histogram("lat")
 	r := c.Ratio("blocking")
 	g := c.Gauge("load")
 	c.OnSeal(func(end float64) { g.Set(end) })

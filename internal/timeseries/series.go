@@ -1,9 +1,6 @@
 package timeseries
 
-import (
-	"math"
-	"sort"
-)
+import "repro/internal/metrics"
 
 // Snapshot is one sealed window: nominal [Start, End) boundaries plus the
 // per-series values, each slice sorted by series name so renderings are
@@ -103,71 +100,43 @@ type GaugeValue struct {
 	Samples int64   `json:"samples"`
 }
 
-// histSeries is the open-window accumulator behind a Histogram handle. The
-// counts slice is reused across windows, so the steady-state Observe path
-// allocates nothing.
+// histSeries is the open-window accumulator behind a Histogram handle: the
+// shared metrics.Histogram plus what a window adds on top of it — the
+// window's min/max and a reset at seal. The histogram is reused across
+// windows, so the steady-state Observe path allocates nothing.
 type histSeries struct {
-	name   string
-	bounds []float64
-	counts []int64
-	n      int64
-	sum    float64
-	min    float64
-	max    float64
+	name     string
+	h        metrics.Histogram
+	min, max float64
 }
 
 func (s *histSeries) observe(v float64) {
-	s.counts[sort.SearchFloat64s(s.bounds, v)]++
-	if s.n == 0 || v < s.min {
+	first := s.h.Count() == 0
+	if first || v < s.min {
 		s.min = v
 	}
-	if s.n == 0 || v > s.max {
+	if first || v > s.max {
 		s.max = v
 	}
-	s.n++
-	s.sum += v
+	s.h.Observe(v)
 }
 
-// quantile returns the smallest bucket bound whose cumulative count covers
-// rank ⌈q·n⌉, clamped to the observed max (which also makes the overflow
-// bucket finite). Returns 0 on an empty window.
-func (s *histSeries) quantile(q float64) float64 {
-	if s.n == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(s.n)))
-	if rank < 1 {
-		rank = 1
-	}
-	cum := int64(0)
-	for i, c := range s.counts {
-		cum += c
-		if cum >= rank {
-			if i < len(s.bounds) && s.bounds[i] < s.max {
-				return s.bounds[i]
-			}
-			return s.max
-		}
-	}
-	return s.max
-}
-
+// value reports the window. Quantiles are clamped to the observed max,
+// which also makes the overflow bucket finite.
 func (s *histSeries) value() HistValue {
-	v := HistValue{Name: s.name, Count: s.n, Sum: s.sum, Min: s.min, Max: s.max}
-	if s.n > 0 {
-		v.Mean = s.sum / float64(s.n)
-		v.P50 = s.quantile(0.50)
-		v.P95 = s.quantile(0.95)
-		v.P99 = s.quantile(0.99)
+	v := HistValue{Name: s.name, Count: s.h.Count(), Sum: s.h.Sum(), Min: s.min, Max: s.max}
+	if v.Count > 0 {
+		v.Mean = v.Sum / float64(v.Count)
+		v.P50 = min(s.h.Quantile(0.50), s.max)
+		v.P95 = min(s.h.Quantile(0.95), s.max)
+		v.P99 = min(s.h.Quantile(0.99), s.max)
 	}
 	return v
 }
 
 func (s *histSeries) reset() {
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
-	s.n, s.sum, s.min, s.max = 0, 0, 0, 0
+	s.h = metrics.Histogram{}
+	s.min, s.max = 0, 0
 }
 
 type rateSeries struct {

@@ -8,7 +8,7 @@
 // A Collector buckets samples into fixed-width windows on a pluggable clock
 // (sim-time from the simulator, wall-clock for live serving) and seals each
 // completed window into an immutable Snapshot: per-window quantiles
-// (p50/p95/p99) from rolling log-bucket histograms, windowed rates, guarded
+// (p50/p95/p99) from per-window metrics.Histograms, windowed rates, guarded
 // ratios (empty window ⇒ 0, never NaN), and min/max/mean gauges. Sealed
 // windows land in a bounded ring (O(Retention) memory no matter how long
 // the run is) and, optionally, stream to a Sink (JSONL/CSV export), so a
@@ -116,22 +116,14 @@ func checkName(name string) {
 	}
 }
 
-// Histogram registers (or returns) the windowed histogram named name, with
-// log-spaced bucket bounds (nil defaults to DefaultLatencyBuckets). Per
-// window it reports count/sum/mean/min/max and bucketed p50/p95/p99.
-func (c *Collector) Histogram(name string, bounds []float64) *Histogram {
+// Histogram registers (or returns) the windowed histogram named name, over
+// the shared metrics bucket layout. Per window it reports
+// count/sum/mean/min/max and bucketed p50/p95/p99.
+func (c *Collector) Histogram(name string) *Histogram {
 	if c == nil {
 		return nil
 	}
 	checkName(name)
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets()
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("timeseries: histogram bounds not strictly increasing")
-		}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, s := range c.hists {
@@ -139,11 +131,7 @@ func (c *Collector) Histogram(name string, bounds []float64) *Histogram {
 			return &Histogram{c: c, s: s}
 		}
 	}
-	s := &histSeries{
-		name:   name,
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]int64, len(bounds)+1),
-	}
+	s := &histSeries{name: name}
 	c.hists = append(c.hists, s)
 	return &Histogram{c: c, s: s}
 }
@@ -433,25 +421,4 @@ func (c *Collector) Latest() *Snapshot {
 		return nil
 	}
 	return &s[0]
-}
-
-// DefaultLatencyBuckets is the default histogram bucketing for routing
-// latencies: 1µs → 10s at 9 bounds per decade, so a bucketed quantile
-// over-estimates the exact one by at most 10^(1/9) ≈ 1.29×.
-func DefaultLatencyBuckets() []float64 { return LogBuckets(1e-6, 10, 9) }
-
-// LogBuckets returns log-spaced upper bounds from lo up to and including
-// the first bound ≥ hi, with perDecade bounds per factor of 10.
-func LogBuckets(lo, hi float64, perDecade int) []float64 {
-	if lo <= 0 || hi <= lo || perDecade < 1 {
-		panic("timeseries: invalid log bucket spec")
-	}
-	ratio := math.Pow(10, 1/float64(perDecade))
-	var out []float64
-	for b := lo; ; b *= ratio {
-		out = append(out, b)
-		if b >= hi {
-			return out
-		}
-	}
 }

@@ -4,10 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 // sim returns a collector on a fresh SimClock, advancing both together.
@@ -31,7 +28,7 @@ func (s simCol) advance(t float64) {
 
 func TestWindowSealingAndGaps(t *testing.T) {
 	c := newSimCol(1.0, 0)
-	h := c.Histogram("lat", nil)
+	h := c.Histogram("lat")
 	r := c.Rate("events")
 	ratio := c.Ratio("blocking")
 	g := c.Gauge("load")
@@ -150,47 +147,34 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-// TestQuantileAccuracy checks the windowed bucketed quantiles against the
-// exact quantiles from package stats on seeded streams: the estimate never
-// falls below the exact value and overshoots by at most the bucket ratio
-// (10^(1/9) ≈ 1.29 for the default latency buckets).
+// TestQuantileAccuracy checks what a window adds to the shared histogram's
+// quantiles: they are clamped to the observed max, so they never exceed the
+// true sample maximum and stay finite even when the rank lands in the
+// overflow bucket. Accuracy against exact quantiles is pinned in package
+// metrics, which owns the bucket layout.
 func TestQuantileAccuracy(t *testing.T) {
-	const ratio = 1.2916 // 10^(1/9), rounded up
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 5; trial++ {
 		c := newSimCol(1, 0)
-		h := c.Histogram("lat", nil)
-		xs := make([]float64, 0, 5000)
+		h := c.Histogram("lat")
 		for i := 0; i < 5000; i++ {
 			// Latency-shaped: log-uniform over 2µs..200ms.
-			v := 2e-6 * math.Pow(1e5, rng.Float64())
-			xs = append(xs, v)
-			h.Observe(v)
+			h.Observe(2e-6 * math.Pow(1e5, rng.Float64()))
 		}
 		c.advance(1)
 		hv, _ := c.Latest().Hist("lat")
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		for _, q := range []struct {
-			q   float64
-			est float64
-		}{{0.50, hv.P50}, {0.95, hv.P95}, {0.99, hv.P99}} {
-			// The bucketed estimate covers the ⌈q·n⌉-th order statistic from
-			// above, and overshoots the interpolated exact quantile by at
-			// most one bucket ratio (plus slack for the interpolation gap).
-			rank := int(math.Ceil(q.q * float64(len(sorted))))
-			if lo := sorted[rank-1]; q.est < lo*0.9999 {
-				t.Fatalf("trial %d p%g: estimate %g below order statistic %g", trial, 100*q.q, q.est, lo)
-			}
-			exact := stats.Quantile(xs, q.q)
-			if q.est > exact*ratio*1.01 {
-				t.Fatalf("trial %d p%g: estimate %g exceeds exact %g × bucket ratio", trial, 100*q.q, q.est, exact)
-			}
+		if !(hv.Min <= hv.P50 && hv.P50 <= hv.P95 && hv.P95 <= hv.P99 && hv.P99 <= hv.Max) {
+			t.Fatalf("trial %d: quantiles out of order or above max: %+v", trial, hv)
 		}
-		// Quantiles clamp to the observed max, so they stay finite even when
-		// the rank lands in the overflow bucket.
-		if hv.P99 > hv.Max {
-			t.Fatalf("p99 %g exceeds max %g", hv.P99, hv.Max)
+	}
+	// One sample inside a bucket, one past the layout's top: the bucket
+	// bounds exceed the max, so both windows report the max itself.
+	for _, v := range []float64{1.1, 1e8} {
+		c := newSimCol(1, 0)
+		c.Histogram("lat").Observe(v)
+		c.advance(1)
+		if hv, _ := c.Latest().Hist("lat"); hv.P50 != v || hv.P99 != v {
+			t.Fatalf("single sample %g: p50 %g p99 %g, want both clamped to max", v, hv.P50, hv.P99)
 		}
 	}
 }
@@ -304,7 +288,7 @@ func TestOnSealProbeLandsInClosingWindow(t *testing.T) {
 
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *Collector
-	h := c.Histogram("x", nil)
+	h := c.Histogram("x")
 	r := c.Rate("x")
 	ratio := c.Ratio("x")
 	g := c.Gauge("x")
@@ -340,24 +324,5 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			New(cfg)
 		}()
-	}
-}
-
-func TestLogBuckets(t *testing.T) {
-	b := LogBuckets(1e-6, 10, 9)
-	if b[0] != 1e-6 {
-		t.Fatalf("first bound %g", b[0])
-	}
-	if b[len(b)-1] < 10 {
-		t.Fatalf("last bound %g < hi", b[len(b)-1])
-	}
-	for i := 1; i < len(b); i++ {
-		r := b[i] / b[i-1]
-		if r < 1.29 || r > 1.30 {
-			t.Fatalf("bucket ratio %g at %d", r, i)
-		}
-	}
-	if got := DefaultLatencyBuckets(); len(got) != len(b) {
-		t.Fatal("DefaultLatencyBuckets mismatch")
 	}
 }
