@@ -236,11 +236,11 @@ func E14(o Options) *Table {
 	discs := []disc{
 		{"adaptive (§3.3)", nil},
 		{"fixed-alt k=1", func(net *wdm.Network) func(*wdm.Network, int, int) (*core.Result, bool) {
-			tbl := core.BuildAlternateTable(net, 1, nil)
+			tbl := core.BuildAlternateTable(net, 1)
 			return tbl.Route
 		}},
 		{"fixed-alt k=3", func(net *wdm.Network) func(*wdm.Network, int, int) (*core.Result, bool) {
-			tbl := core.BuildAlternateTable(net, 3, nil)
+			tbl := core.BuildAlternateTable(net, 3)
 			return tbl.Route
 		}},
 	}
@@ -403,7 +403,7 @@ func E16(o Options) *Table {
 					var r *core.Result
 					var ok bool
 					if aware {
-						r, ok = core.ApproxMinCostSRLG(net, s, d, 0, nil)
+						r, ok = core.ApproxMinCostSRLG(net, s, d, 0)
 					} else {
 						r, ok = router.ApproxMinCost(net, s, d)
 					}
@@ -481,7 +481,7 @@ func E17(o Options) *Table {
 			if d >= s {
 				d++
 			}
-			r, ok := core.ApproxMinCostK(net, s, d, k, nil)
+			r, ok := core.NewRouter(nil).ApproxMinCostK(net, s, d, k)
 			if !ok {
 				return sample{}
 			}
@@ -606,10 +606,10 @@ func E19(o Options) *Table {
 	}
 	for _, algo := range []struct {
 		name  string
-		route func(*wdm.Network, int, int, *core.Options) (*core.Result, bool)
+		route func(*core.Router, *wdm.Network, int, int) (*core.Result, bool)
 	}{
-		{"min-cost", core.ApproxMinCost},
-		{"min-load-cost", core.MinLoadCost},
+		{"min-cost", (*core.Router).ApproxMinCost},
+		{"min-load-cost", (*core.Router).MinLoadCost},
 	} {
 		algo := algo
 		type sample struct {
@@ -620,6 +620,7 @@ func E19(o Options) *Table {
 		samples := parallel.Map(seeds, 0, func(i int) sample {
 			rng := rand.New(rand.NewSource(int64(97000 + i)))
 			net := topo.NSFNET(topo.Config{W: 8})
+			rt := core.NewRouter(nil)
 			var conns []*reconfig.Connection
 			for k := 0; k < demands; k++ {
 				s := rng.Intn(14)
@@ -627,7 +628,7 @@ func E19(o Options) *Table {
 				if d >= s {
 					d++
 				}
-				r, ok := algo.route(net, s, d, nil)
+				r, ok := algo.route(rt, net, s, d)
 				if !ok || core.Establish(net, r) != nil {
 					continue
 				}

@@ -97,7 +97,7 @@ func PerfSuite() []PerfComparison {
 		before := measure(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.ApproxMinCost(net, 0, 9, nil) //wdmlint:ignore freshrouter the before-arm measures the fresh one-shot path on purpose
+				core.NewRouter(nil).ApproxMinCost(net, 0, 9)
 			}
 		})
 		r := core.NewRouter(nil)
@@ -118,7 +118,7 @@ func PerfSuite() []PerfComparison {
 			net := preloadedNSFNET(8, 0.4, 5)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.MinLoad(net, 2, 11, nil) //wdmlint:ignore freshrouter the before-arm measures the fresh one-shot path on purpose
+				core.NewRouter(nil).MinLoad(net, 2, 11)
 			}
 		})
 		after := measure(func(b *testing.B) {
@@ -173,8 +173,7 @@ func PerfSuite() []PerfComparison {
 					// Force the pre-Router behaviour: a fresh one-shot
 					// routing call (new aux graph + workspaces) per arrival.
 					RouteFunc: func(n *wdm.Network, s, t int) (*core.Result, bool) {
-						//wdmlint:ignore freshrouter the before-arm forces the pre-Router per-arrival rebuild on purpose
-						return core.ApproxMinCost(n, s, t, nil)
+						return core.NewRouter(nil).ApproxMinCost(n, s, t)
 					},
 				})
 				sim.Run(reqs)

@@ -179,17 +179,7 @@ func (e *OpError) Unwrap() error { return e.Err }
 // routeFresh routes with a throwaway router (every call rebuilds its
 // auxiliary graph), routeWarm with the stream-long router.
 func routeFresh(net *wdm.Network, op check.Op) (*core.Result, bool) {
-	switch op.Algo {
-	case check.AlgoMinCost:
-		return core.ApproxMinCost(net, op.Src, op.Dst, nil)
-	case check.AlgoMinLoad:
-		return core.MinLoad(net, op.Src, op.Dst, nil)
-	case check.AlgoMinLoadCost:
-		return core.MinLoadCost(net, op.Src, op.Dst, nil)
-	case check.AlgoNodeDisjoint:
-		return core.ApproxMinCostNodeDisjoint(net, op.Src, op.Dst, nil)
-	}
-	panic("harness: unknown algorithm")
+	return routeWarm(core.NewRouter(nil), net, op)
 }
 
 func routeWarm(r *core.Router, net *wdm.Network, op check.Op) (*core.Result, bool) {

@@ -9,40 +9,47 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/topo"
+	"repro/internal/wdm"
 )
 
-// Allocation budgets for a warm Router on NSFNET (W=8). The graph search
-// itself is allocation-free; what remains is the per-result construction
-// (Result, hop slices, the Lemma 2 refinement DP). Measured ~27–29 allocs/op
-// at the time of writing; the budgets leave headroom for small refactors
-// while still catching a regression to per-request graph rebuilding
-// (~900 allocs/op).
+// Allocation budgets for a warm Router on NSFNET (W=8). The graph search and
+// the result arena are allocation-free; an owned result (no ReuseResult)
+// costs exactly its copy — the Result, two semilightpath headers and their
+// two hop slices — and an arena result (ReuseResult) costs nothing. A
+// regression to per-request graph rebuilding costs ~900 allocs/op.
 const (
-	approxMinCostAllocBudget = 64
-	minLoadAllocBudget       = 96
+	ownedResultAllocBudget = 5
+	arenaResultAllocBudget = 0
 )
 
 func TestWarmRouterAllocBudget(t *testing.T) {
 	net := topo.NSFNET(topo.Config{W: 8})
-	r := NewRouter(nil)
-	if _, ok := r.ApproxMinCost(net, 0, 9); !ok {
-		t.Fatal("ApproxMinCost failed")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		r.ApproxMinCost(net, 0, 9)
-	})
-	if allocs > approxMinCostAllocBudget {
-		t.Errorf("warm Router.ApproxMinCost = %.0f allocs/op, budget %d", allocs, approxMinCostAllocBudget)
-	}
-
-	if _, ok := r.MinLoad(net, 2, 11); !ok {
-		t.Fatal("MinLoad failed")
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		r.MinLoad(net, 2, 11)
-	})
-	if allocs > minLoadAllocBudget {
-		t.Errorf("warm Router.MinLoad = %.0f allocs/op, budget %d", allocs, minLoadAllocBudget)
+	for _, c := range []struct {
+		opts   *Options
+		budget float64
+	}{
+		{nil, ownedResultAllocBudget},
+		{&Options{ReuseResult: true}, arenaResultAllocBudget},
+	} {
+		r := NewRouter(c.opts)
+		for _, m := range []struct {
+			name  string
+			route func(*wdm.Network, int, int) (*Result, bool)
+			s, t  int
+		}{
+			{"ApproxMinCost", r.ApproxMinCost, 0, 9},
+			{"MinLoad", r.MinLoad, 2, 11},
+			{"MinLoadCost", r.MinLoadCost, 2, 11},
+		} {
+			if _, ok := m.route(net, m.s, m.t); !ok {
+				t.Fatalf("%s failed", m.name)
+			}
+			allocs := testing.AllocsPerRun(100, func() { m.route(net, m.s, m.t) })
+			if allocs > c.budget {
+				t.Errorf("warm Router.%s (ReuseResult=%v) = %.0f allocs/op, budget %.0f",
+					m.name, c.opts != nil, allocs, c.budget)
+			}
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ type AlternateTable struct {
 // avoids all links of alternates 1..j−1), so a busy first choice leaves the
 // later ones usable. Building is quadratic in nodes; intended to run once at
 // network commissioning.
-func BuildAlternateTable(net *wdm.Network, k int, opts *Options) *AlternateTable {
+func BuildAlternateTable(net *wdm.Network, k int) *AlternateTable {
 	if k <= 0 {
 		k = 1
 	}

@@ -229,6 +229,8 @@ func routeAvailable(net *wdm.Network, route []int) bool {
 // candidateRoute runs the fast tier for (s, t). ok=false means the tier
 // declines — no candidates cached for the pair, or none feasible on the
 // current residual state — and the caller falls back to the exact pipeline.
+// Like the exact tier it builds the result in the router's arena and returns
+// it through Router.result.
 func (r *Router) candidateRoute(net *wdm.Network, s, t int, tab *CandidateTable) (*Result, bool) {
 	cands := tab.lookup(s, t)
 	if len(cands) == 0 {
@@ -262,23 +264,11 @@ func (r *Router) candidateRoute(net *wdm.Network, s, t int, tab *CandidateTable)
 	if !found {
 		return nil, false
 	}
-	var res *Result
-	var p1, p2 *wdm.Semilightpath
-	if r.opts.reuseResult() {
-		ar := &r.arena
-		ar.res = Result{}
-		res = &ar.res
-		ar.sl[0].Hops = cs.best[0]
-		ar.sl[1].Hops = cs.best[1]
-		p1, p2 = &ar.sl[0], &ar.sl[1]
-	} else {
-		//wdmlint:ignore hotalloc non-reuse branch; ReuseResult callers take the arena path
-		res = &Result{}
-		//wdmlint:ignore hotalloc non-reuse branch; ReuseResult callers take the arena path
-		p1 = &wdm.Semilightpath{Hops: append([]wdm.Hop(nil), cs.best[0]...)}
-		//wdmlint:ignore hotalloc non-reuse branch; ReuseResult callers take the arena path
-		p2 = &wdm.Semilightpath{Hops: append([]wdm.Hop(nil), cs.best[1]...)}
-	}
+	ar := &r.arena
+	ar.res = Result{}
+	res := &ar.res
+	ar.sl[0].Hops, ar.sl[1].Hops = cs.best[0], cs.best[1]
+	p1, p2 := &ar.sl[0], &ar.sl[1]
 	c1, c2 := cs.bestC[0], cs.bestC[1]
 	// Order so the cheaper path serves as primary, as the exact tier does.
 	if c2 < c1 {
@@ -288,5 +278,5 @@ func (r *Router) candidateRoute(net *wdm.Network, s, t int, tab *CandidateTable)
 	res.Cost = bestCost
 	res.NaiveCost = bestCost
 	res.PathLoad = pathLoad(net, p1, p2)
-	return res, true
+	return r.result(res), true
 }

@@ -1,20 +1,25 @@
 // Package core implements the paper's robust-routing algorithms: for a
 // connection request (s, t) it establishes two edge-disjoint semilightpaths —
-// a primary and a pre-reserved backup — under three objectives:
+// a primary and a pre-reserved backup — under three objectives, each a
+// method of Router, the one way to run them:
 //
-//   - ApproxMinCost (§3.3): minimise the cost sum. Build the auxiliary graph
-//     G′, find a minimum-weight edge-disjoint pair with Suurballe's
-//     algorithm, map each auxiliary path to its induced subgraph G_i, and
-//     refine by optimal wavelength assignment (Lemma 2). 2-approximation
-//     under the paper's assumptions (Theorem 2).
-//   - MinLoad (§4.1, Find_Two_Paths_MinCog): minimise the network load via a
-//     doubling threshold search over ϑ and the exponential congestion
-//     weights of G_c. Load within 3× of optimal (Theorem 3).
-//   - MinLoadCost (§4.2): two phases — fix a feasible load bound ϑ with the
-//     MinCog search, then route minimum-cost within that bound on G_rc.
+//   - Router.ApproxMinCost (§3.3): minimise the cost sum. Build the
+//     auxiliary graph G′, find a minimum-weight edge-disjoint pair with
+//     Suurballe's algorithm, map each auxiliary path to its induced subgraph
+//     G_i, and refine by optimal wavelength assignment (Lemma 2).
+//     2-approximation under the paper's assumptions (Theorem 2).
+//   - Router.MinLoad (§4.1, Find_Two_Paths_MinCog): minimise the network
+//     load via a doubling threshold search over ϑ and the exponential
+//     congestion weights of G_c. Load within 3× of optimal (Theorem 3).
+//   - Router.MinLoadCost (§4.2): two phases — fix a feasible load bound ϑ
+//     with the MinCog search, then route minimum-cost within that bound on
+//     G_rc.
 //
-// Baselines used by the evaluation: TwoStepMinCost (shortest semilightpath,
-// delete, second shortest) and the exact solvers in package exact.
+// Router.ApproxMinCostNodeDisjoint and Router.ApproxMinCostK extend §3.3 to
+// node-disjoint pairs and to k paths. Baselines used by the evaluation:
+// Router.TwoStepMinCost (shortest semilightpath, delete, second shortest),
+// the fixed-alternate and SRLG heuristics, and the exact solvers in package
+// exact.
 package core
 
 import (
@@ -32,11 +37,6 @@ type Options struct {
 	// Base is the exponent base a > 1 for the G_c congestion weights
 	// (auxgraph.DefaultBase if 0).
 	Base float64
-	// MaxIterations caps the MinCog threshold search (default 64).
-	MaxIterations int
-	// NoRefine skips the Lemma 2 refinement and keeps a first-fit
-	// wavelength assignment on the mapped routes (ablation switch).
-	NoRefine bool
 	// Candidates enables the precomputed candidate-path fast tier for
 	// ApproxMinCost: up to k Yen-derived edge-disjoint route pairs per
 	// (s, t), generated once from static installed-wavelength weights and
@@ -50,11 +50,12 @@ type Options struct {
 	// share one. It serves only networks sharing the wdm.Topology it was
 	// built on (Clones and CloneSince snapshots of that network).
 	CandidateTable *CandidateTable
-	// ReuseResult makes routing calls return Results that alias buffers owned
-	// by the Router: the Result, its Semilightpaths and their hop slices are
-	// overwritten by the next routing call on the same Router. Callers that
-	// consume or copy routes immediately (the simulator's arrival loop) set
-	// this to route allocation-free; callers that retain Results must not.
+	// ReuseResult makes routing calls return the Router's arena result: the
+	// Result, its Semilightpaths and their hop slices are overwritten by the
+	// next routing call on the same Router. Callers that consume or copy
+	// routes immediately (the simulator's arrival loop, the serving shards)
+	// set this to route allocation-free; without it every call returns an
+	// owned copy of the arena result, safe to retain.
 	ReuseResult bool
 }
 
@@ -64,15 +65,6 @@ func (o *Options) base() float64 {
 	}
 	return o.Base
 }
-
-func (o *Options) maxIter() int {
-	if o == nil || o.MaxIterations == 0 {
-		return 64
-	}
-	return o.MaxIterations
-}
-
-func (o *Options) noRefine() bool { return o != nil && o.NoRefine }
 
 func (o *Options) reuseResult() bool { return o != nil && o.ReuseResult }
 
@@ -128,30 +120,11 @@ func pathLoad(net *wdm.Network, ps ...*wdm.Semilightpath) float64 {
 	return rho
 }
 
-// firstFit assigns the smallest available wavelength to every link of the
-// route and returns the resulting Eq. 1 cost, or +Inf when some implied
-// conversion is disallowed. This is the unrefined P_ii assignment of §3.3.
-func firstFit(net *wdm.Network, route []int) (*wdm.Semilightpath, float64) {
-	//wdmlint:ignore hotalloc non-reuse fallback; serving paths use firstFitInto
-	hops := make([]wdm.Hop, len(route))
-	for i, id := range route {
-		lam := net.Link(id).Avail().Min()
-		if lam < 0 {
-			return nil, math.Inf(1)
-		}
-		hops[i] = wdm.Hop{Link: id, Wavelength: lam}
-	}
-	//wdmlint:ignore hotalloc non-reuse fallback; serving paths use firstFitInto
-	p := &wdm.Semilightpath{Hops: hops}
-	c := p.Cost(net)
-	if math.IsInf(c, 1) { // disallowed conversion surfaces as +Inf ConvCost
-		return nil, math.Inf(1)
-	}
-	return p, c
-}
-
-// firstFitInto is firstFit with caller-owned storage: the hop sequence goes
-// into *buf (grown as needed) and the semilightpath header into sl.
+// firstFitInto assigns the smallest available wavelength to every link of
+// the route — the unrefined P_ii assignment of §3.3 — and returns the
+// resulting Eq. 1 cost, or +Inf when some implied conversion is disallowed.
+// The hop sequence goes into *buf (grown as needed) and the semilightpath
+// header into sl.
 func firstFitInto(net *wdm.Network, route []int, sl *wdm.Semilightpath, buf *[]wdm.Hop) (*wdm.Semilightpath, float64) {
 	hops := (*buf)[:0]
 	for _, id := range route {
@@ -171,10 +144,11 @@ func firstFitInto(net *wdm.Network, route []int, sl *wdm.Semilightpath, buf *[]w
 	return sl, c
 }
 
-// resultArena is the Router-owned storage behind Options.ReuseResult: the
-// Result, the semilightpath headers for the naive and refined assignment of
-// both paths, and every hop/route buffer the refinement writes. One routing
-// call's output occupies it until the next call.
+// resultArena is the Router-owned storage every routing result is built in:
+// the Result, the semilightpath headers for the naive and refined assignment
+// of both paths, and every hop/route buffer the refinement writes. One
+// routing call's output occupies it until the next call; Router.result hands
+// it out as is or as an owned copy.
 type resultArena struct {
 	res   Result
 	sl    [4]wdm.Semilightpath // [2i] = naive, [2i+1] = refined, per path i
@@ -183,67 +157,58 @@ type resultArena struct {
 	aw    lightpath.AssignWorkspace
 }
 
+// result returns the arena result res to the caller: res itself under
+// Options.ReuseResult, otherwise an owned copy.
+func (r *Router) result(res *Result) *Result {
+	if r.opts.reuseResult() {
+		return res
+	}
+	return ownResult(res)
+}
+
+// ownResult deep-copies an arena result: the Result, both semilightpath
+// headers and their hop slices.
+//
+//wdm:coldpath only routers without ReuseResult copy; serve and netsim set it, and their zero-alloc gates would show a copy on their path
+func ownResult(res *Result) *Result {
+	out := *res
+	out.Primary = &wdm.Semilightpath{Hops: append([]wdm.Hop(nil), res.Primary.Hops...)}
+	out.Backup = &wdm.Semilightpath{Hops: append([]wdm.Hop(nil), res.Backup.Hops...)}
+	return &out
+}
+
 // mapAndRefine converts an auxiliary pair into two semilightpaths. Each aux
 // path is mapped to its physical route; the Lemma 2 refinement then finds
 // the optimal wavelength assignment on that route (the optimal semilightpath
 // of the induced subgraph G_i, whose links are exactly the route's links).
 // ok is false when neither refinement nor first-fit yields a feasible
 // assignment for one of the routes (possible only with restricted
-// converters). Under Options.ReuseResult everything returned lives in the
-// router's arena; otherwise it is freshly allocated.
+// converters). The result is built in the router's arena and returned
+// through Router.result.
 func (r *Router) mapAndRefine(net *wdm.Network, a *auxgraph.Aux, pair *disjoint.Pair, tc *obs.Trace) (*Result, bool) {
 	defer instr.phaseRefine.Stop(instr.phaseRefine.Start())
-	reuse := r.opts.reuseResult()
 	ar := &r.arena
-	var res *Result
-	if reuse {
-		ar.res = Result{AuxWeight: pair.Weight}
-		res = &ar.res
-	} else {
-		//wdmlint:ignore hotalloc non-reuse branch; ReuseResult callers take the arena path
-		res = &Result{AuxWeight: pair.Weight}
-	}
+	ar.res = Result{AuxWeight: pair.Weight}
+	res := &ar.res
 	var paths [2]*wdm.Semilightpath
 	naiveTotal := 0.0
 	for i, auxPath := range [2][]int{pair.Path1, pair.Path2} {
 		sp := tc.Begin("refine") // one span per G_i (primary, then backup)
-		var route []int
-		if reuse {
-			ar.route[i] = a.AppendMapPath(ar.route[i][:0], auxPath)
-			route = ar.route[i]
-		} else {
-			route = a.MapPath(auxPath)
-		}
+		ar.route[i] = a.AppendMapPath(ar.route[i][:0], auxPath)
+		route := ar.route[i]
 		if len(route) == 0 {
 			tc.EndSpan(sp)
 			return nil, false
 		}
-		var (
-			naive, refined *wdm.Semilightpath
-			nc, rc         float64
-			okR            bool
-		)
-		if reuse {
-			naive, nc = firstFitInto(net, route, &ar.sl[2*i], &ar.hops[2*i])
-			var hops []wdm.Hop
-			hops, rc, okR = lightpath.AssignInto(&ar.aw, net, route, ar.hops[2*i+1])
-			ar.hops[2*i+1] = hops
-			if okR {
-				ar.sl[2*i+1].Hops = hops
-				refined = &ar.sl[2*i+1]
-			}
-		} else {
-			naive, nc = firstFit(net, route)
-			refined, rc, okR = lightpath.AssignWavelengths(net, route)
-		}
+		naive, nc := firstFitInto(net, route, &ar.sl[2*i], &ar.hops[2*i])
+		hops, rc, okR := lightpath.AssignInto(&ar.aw, net, route, ar.hops[2*i+1])
+		ar.hops[2*i+1] = hops
 		naiveTotal += nc
 		fallback := false
 		switch {
-		case r.opts.noRefine() && naive != nil:
-			paths[i] = naive
-			res.Cost += nc
 		case okR:
-			paths[i] = refined
+			ar.sl[2*i+1].Hops = hops
+			paths[i] = &ar.sl[2*i+1]
 			res.Cost += rc
 		case naive != nil:
 			paths[i] = naive
@@ -276,26 +241,7 @@ func (r *Router) mapAndRefine(net *wdm.Network, a *auxgraph.Aux, pair *disjoint.
 		res.Primary, res.Backup = res.Backup, res.Primary
 	}
 	res.PathLoad = pathLoad(net, res.Primary, res.Backup)
-	return res, true
-}
-
-// ApproxMinCost routes (s, t) per §3.3: auxiliary graph G′ + Suurballe +
-// Lemma 2 refinement. ok is false when no two edge-disjoint semilightpaths
-// exist in the residual network (or refinement is infeasible under
-// restricted conversion).
-// It is the one-shot wrapper around Router.ApproxMinCost; hot paths should
-// hold a Router to reuse its skeleton cache and search workspaces.
-func ApproxMinCost(net *wdm.Network, s, t int, opts *Options) (*Result, bool) {
-	return NewRouter(opts).ApproxMinCost(net, s, t)
-}
-
-// ApproxMinCostNodeDisjoint routes (s, t) with an internally node-disjoint
-// primary/backup pair — the stronger §1 protection discipline that survives
-// single node failures as well as link failures. It reuses the §3.3
-// machinery with a unit-capacity hub gadget per intermediate node in the
-// auxiliary graph. ok is false when no node-disjoint pair exists.
-func ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int, opts *Options) (*Result, bool) {
-	return NewRouter(opts).ApproxMinCostNodeDisjoint(net, s, t)
+	return r.result(res), true
 }
 
 // nodesDisjoint reports whether two paths share no intermediate node.
@@ -333,69 +279,6 @@ func thetaBounds(net *wdm.Network) (lo, hi float64, any bool) {
 		}
 	}
 	return lo, hi, any
-}
-
-// MinLoad routes (s, t) per §4.1: find the smallest feasible load bound ϑ by
-// the MinCog search over G_c (exponential congestion weights) and return the
-// refined pair found at that bound.
-//
-// The search (Router.minCogSearch) runs the Find_Two_Paths_MinCog doubling
-// schedule: it starts at ϑ_min with increment Δ/2^{⌈log₂(1/Δ)⌉} and doubles
-// the increment after every infeasible round, finishing with the complete
-// residual graph at ϑ_max. The schedule yields the Theorem 3 load ratio < 3:
-// a success at ϑ after a failure at ϑ−δ implies ϑ* > ϑ−δ while
-// δ ≤ 2·(ϑ−δ−ϑ_min) + Δ/2^{j₀}.
-func MinLoad(net *wdm.Network, s, t int, opts *Options) (*Result, bool) {
-	return NewRouter(opts).MinLoad(net, s, t)
-}
-
-// MinLoadCost routes (s, t) per §4.2: phase 1 fixes the feasible load bound
-// ϑ with the MinCog search; phase 2 reweights the auxiliary graph as G_rc
-// (same filter, average-cost weights) and routes minimum-cost within the
-// bound.
-func MinLoadCost(net *wdm.Network, s, t int, opts *Options) (*Result, bool) {
-	return NewRouter(opts).MinLoadCost(net, s, t)
-}
-
-// TwoStepMinCost is the naive baseline (E7): route an optimal semilightpath,
-// remove its physical links, route a second one. It can fail on trap
-// topologies where ApproxMinCost succeeds, and is never cheaper.
-//
-//wdm:coldpath naive baseline for experiments, not the serving path
-func TwoStepMinCost(net *wdm.Network, s, t int, opts *Options) (*Result, bool) {
-	instr.routeCalls.Inc()
-	p1, c1, ok := lightpath.Optimal(net, s, t, nil)
-	if !ok {
-		return nil, false
-	}
-	used := make(map[int]bool, p1.Len())
-	for _, h := range p1.Hops {
-		used[h.Link] = true
-	}
-	p2, c2, ok := lightpath.Optimal(net, s, t, &lightpath.Options{
-		AllowedLinks: func(id int) bool { return !used[id] },
-	})
-	if !ok {
-		return nil, false
-	}
-	res := &Result{
-		Primary:   p1,
-		Backup:    p2,
-		Cost:      c1 + c2,
-		NaiveCost: c1 + c2,
-	}
-	res.PathLoad = pathLoad(net, p1, p2)
-	instr.routeFound.Inc()
-	return res, true
-}
-
-// OptimalLoadOracle computes the exact minimum achievable path load — the
-// smallest c such that two edge-disjoint semilightpath-feasible routes exist
-// using only links with (U(e)+1)/N(e) ≤ c. Candidate values are the finite
-// set of per-link ratios, so the oracle is exact; it is the reference for
-// the Theorem 3 ratio experiment (E3).
-func OptimalLoadOracle(net *wdm.Network, s, t int) (float64, bool) {
-	return NewRouter(nil).OptimalLoadOracle(net, s, t)
 }
 
 // Establish reserves both paths of a routed result on the network. Either

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/auxgraph"
 	"repro/internal/disjoint"
 	"repro/internal/lightpath"
@@ -23,16 +21,18 @@ type MultiResult struct {
 }
 
 // ApproxMinCostK generalises §3.3 to k pairwise edge-disjoint
-// semilightpaths: the §3.3.1 auxiliary graph is searched with the
-// successive-shortest-paths generalisation of Suurballe (KDisjoint), and
-// each mapped route gets the Lemma 2 optimal wavelength assignment. k = 2
-// reproduces ApproxMinCost up to path ordering. ok is false when fewer than
-// k edge-disjoint semilightpaths exist.
-func ApproxMinCostK(net *wdm.Network, s, t, k int, opts *Options) (*MultiResult, bool) {
-	if k <= 0 {
+// semilightpaths: the router's cached edge-disjoint skeleton is reweighted
+// for (s, t) and searched with the successive-shortest-paths generalisation
+// of Suurballe (KDisjoint), and each mapped route gets the Lemma 2 optimal
+// wavelength assignment, falling back to first-fit. k = 2 reproduces
+// ApproxMinCost up to path ordering. ok is false when fewer than k
+// edge-disjoint semilightpaths exist. The MultiResult is always owned by
+// the caller.
+func (r *Router) ApproxMinCostK(net *wdm.Network, s, t, k int) (*MultiResult, bool) {
+	if k <= 0 || s == t {
 		return nil, false
 	}
-	a := auxgraph.Build(net, s, t, auxgraph.Params{Kind: auxgraph.Cost})
+	a := r.skeleton(net, false, nil).Reweight(s, t, auxgraph.Params{Kind: auxgraph.Cost})
 	kp, ok := disjoint.KDisjoint(a.G, a.S, a.T, k)
 	if !ok {
 		return nil, false
@@ -47,12 +47,10 @@ func ApproxMinCostK(net *wdm.Network, s, t, k int, opts *Options) (*MultiResult,
 		if !okA {
 			// Restricted conversion can defeat the refinement; fall back to
 			// first-fit before giving up.
-			var nc float64
-			p, nc = firstFit(net, route)
-			if p == nil || math.IsInf(nc, 1) {
+			p, c = firstFitInto(net, route, new(wdm.Semilightpath), new([]wdm.Hop))
+			if p == nil {
 				return nil, false
 			}
-			c = nc
 		}
 		res.Paths = append(res.Paths, p)
 		res.Cost += c

@@ -6,20 +6,23 @@ import (
 
 	"repro/internal/auxgraph"
 	"repro/internal/disjoint"
+	"repro/internal/lightpath"
 	"repro/internal/obs"
 	"repro/internal/obs/explain"
 	"repro/internal/wdm"
 )
 
-// Router is the reusable engine behind the package-level routing functions.
-// It owns every piece of per-request scratch state — the Suurballe workspace
-// (two Dijkstra workspaces, residual graph, combine buffers) and at most two
-// auxiliary-graph skeletons, one edge- and one node-disjoint, each serving
-// every (s, t) — so that a long-lived caller (a simulator arrival loop, a
+// Router runs the package's auxiliary-graph algorithms; it is the only way
+// to run them. It owns every piece of per-request scratch state — the
+// Suurballe workspace (two Dijkstra workspaces, residual graph, combine
+// buffers), at most two auxiliary-graph skeletons, one edge- and one
+// node-disjoint, each serving every (s, t), and the arena every result is
+// built in — so that a long-lived caller (a simulator arrival loop, a
 // benchmark worker) routes requests without rebuilding the auxiliary graph
-// or reallocating search state on every call. The MinCog threshold search in
-// particular reweights one skeleton per round instead of constructing a
-// fresh graph per round.
+// or reallocating search state on every call. A one-shot call is
+// NewRouter(opts).X(…): it pays one skeleton build. The MinCog threshold
+// search in particular reweights one skeleton per round instead of
+// constructing a fresh graph per round.
 //
 // The skeleton and candidate caches are keyed on the *wdm.Topology of the
 // network routed on, not on the network: a router that moves to a Clone or
@@ -30,9 +33,11 @@ import (
 // a new Topology, so the next call rebuilds. Workspaces are kept across
 // everything, as they adapt to any graph size.
 //
-// Every routing method returns (nil, false) for s == t: a connection needs
-// two distinct endpoints. A Router is not safe for concurrent use; give each
-// goroutine its own (e.g. one per parallel.MapWithState worker).
+// Results are returned as owned copies of the arena result, or as the arena
+// result itself under Options.ReuseResult. Every routing method returns
+// (nil, false) for s == t: a connection needs two distinct endpoints. A
+// Router is not safe for concurrent use; give each goroutine its own (e.g.
+// one per parallel.MapWithState worker).
 type Router struct {
 	opts     *Options
 	topo     *wdm.Topology // structure the skeleton and candidate caches belong to
@@ -177,10 +182,13 @@ func (r *Router) skeleton(net *wdm.Network, nodeDisjoint bool, tc *obs.Trace) *a
 	return *slot
 }
 
-// ApproxMinCost routes (s, t) per §3.3 — see the package-level ApproxMinCost.
-// When the candidate-path fast tier is enabled (Options.Candidates or
-// Options.CandidateTable) it is tried first; the exact auxiliary-graph
-// pipeline runs only when no cached candidate pair is currently feasible.
+// ApproxMinCost routes (s, t) per §3.3: auxiliary graph G′ + Suurballe +
+// Lemma 2 refinement. ok is false when no two edge-disjoint semilightpaths
+// exist in the residual network (or refinement is infeasible under
+// restricted conversion). When the candidate-path fast tier is enabled
+// (Options.Candidates or Options.CandidateTable) it is tried first; the
+// exact auxiliary-graph pipeline runs only when no cached candidate pair is
+// currently feasible.
 func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 	if s == t {
 		return nil, false
@@ -219,7 +227,10 @@ func (r *Router) ApproxMinCost(net *wdm.Network, s, t int) (*Result, bool) {
 }
 
 // ApproxMinCostNodeDisjoint routes (s, t) with an internally node-disjoint
-// pair — see the package-level ApproxMinCostNodeDisjoint.
+// primary/backup pair — the stronger §1 protection discipline that survives
+// single node failures as well as link failures. It reuses the §3.3
+// machinery with a unit-capacity hub gadget per intermediate node in the
+// auxiliary graph. ok is false when no node-disjoint pair exists.
 func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result, bool) {
 	if s == t {
 		return nil, false
@@ -253,11 +264,15 @@ func (r *Router) ApproxMinCostNodeDisjoint(net *wdm.Network, s, t int) (*Result,
 	return res, true
 }
 
+// maxMinCogIterations caps the MinCog threshold search; past it the search
+// falls back to the complete residual graph.
+const maxMinCogIterations = 64
+
 // minCogSearch is the Find_Two_Paths_MinCog doubling threshold search (see
-// the algorithm notes on the package-level MinLoad). Unlike the historical
-// implementation it reweights one cached skeleton per round instead of
-// building a fresh auxiliary graph, so a k-round search costs one structure
-// build plus k cheap weight passes. The returned pair aliases the router's
+// the algorithm notes on MinLoad). Unlike the historical implementation it
+// reweights one cached skeleton per round instead of building a fresh
+// auxiliary graph, so a k-round search costs one structure build plus k
+// cheap weight passes. The returned pair aliases the router's
 // Suurballe workspace and must be consumed before the next routing call.
 func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc *obs.Trace) (theta float64, aOut *auxgraph.Aux, pairOut *disjoint.Pair, iters int, ok bool) {
 	defer instr.phaseMinCog.Stop(instr.phaseMinCog.Start())
@@ -294,8 +309,7 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc
 	}
 	inc := delta / math.Pow(2, float64(j0))
 	theta = lo
-	maxIter := r.opts.maxIter()
-	for iters < maxIter {
+	for iters < maxMinCogIterations {
 		iters++
 		if theta >= hi {
 			theta = hi
@@ -316,7 +330,16 @@ func (r *Router) minCogSearch(net *wdm.Network, s, t int, kind auxgraph.Kind, tc
 	return hi, a, pair, iters, ok
 }
 
-// MinLoad routes (s, t) per §4.1 — see the package-level MinLoad.
+// MinLoad routes (s, t) per §4.1: find the smallest feasible load bound ϑ by
+// the MinCog search over G_c (exponential congestion weights) and return the
+// refined pair found at that bound.
+//
+// The search (minCogSearch) runs the Find_Two_Paths_MinCog doubling
+// schedule: it starts at ϑ_min with increment Δ/2^{⌈log₂(1/Δ)⌉} and doubles
+// the increment after every infeasible round, finishing with the complete
+// residual graph at ϑ_max. The schedule yields the Theorem 3 load ratio < 3:
+// a success at ϑ after a failure at ϑ−δ implies ϑ* > ϑ−δ while
+// δ ≤ 2·(ϑ−δ−ϑ_min) + Δ/2^{j₀}.
 func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 	if s == t {
 		return nil, false
@@ -340,7 +363,10 @@ func (r *Router) MinLoad(net *wdm.Network, s, t int) (*Result, bool) {
 	return res, true
 }
 
-// MinLoadCost routes (s, t) per §4.2 — see the package-level MinLoadCost.
+// MinLoadCost routes (s, t) per §4.2: phase 1 fixes the feasible load bound
+// ϑ with the MinCog search; phase 2 reweights the auxiliary graph as G_rc
+// (same filter, average-cost weights) and routes minimum-cost within the
+// bound.
 func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 	if s == t {
 		return nil, false
@@ -383,20 +409,57 @@ func (r *Router) MinLoadCost(net *wdm.Network, s, t int) (*Result, bool) {
 	return res, true
 }
 
-// TwoStepMinCost is the naive baseline — see the package-level TwoStepMinCost.
-// It uses no auxiliary graph, so the Router adds only the uniform call
-// surface and the request trace (no phase spans, no aux pair to audit).
+// TwoStepMinCost is the naive baseline (E7): route an optimal
+// semilightpath, remove its physical links, route a second one. It can fail
+// on trap topologies where ApproxMinCost succeeds, and is never cheaper. It
+// uses no auxiliary graph, so the Router adds only the uniform call surface
+// and the request trace (no phase spans, no aux pair to audit).
+//
+//wdm:coldpath naive baseline for experiments, not the serving path
 func (r *Router) TwoStepMinCost(net *wdm.Network, s, t int) (*Result, bool) {
+	if s == t {
+		return nil, false
+	}
+	instr.routeCalls.Inc()
 	tc := r.begin("two-step", s, t)
-	res, ok := TwoStepMinCost(net, s, t, r.opts)
-	r.finish(tc, net, res, ok, false)
-	return res, ok
+	p1, c1, ok := lightpath.Optimal(net, s, t, nil)
+	var p2 *wdm.Semilightpath
+	var c2 float64
+	if ok {
+		used := make(map[int]bool, p1.Len())
+		for _, h := range p1.Hops {
+			used[h.Link] = true
+		}
+		p2, c2, ok = lightpath.Optimal(net, s, t, &lightpath.Options{
+			AllowedLinks: func(id int) bool { return !used[id] },
+		})
+	}
+	if !ok {
+		r.finish(tc, net, nil, false, false)
+		return nil, false
+	}
+	res := &Result{
+		Primary:   p1,
+		Backup:    p2,
+		Cost:      c1 + c2,
+		NaiveCost: c1 + c2,
+		PathLoad:  pathLoad(net, p1, p2),
+	}
+	instr.routeFound.Inc()
+	r.finish(tc, net, res, true, false)
+	return res, true
 }
 
-// OptimalLoadOracle computes the exact minimum achievable path load — see the
-// package-level OptimalLoadOracle. Each candidate cap reweights the same
+// OptimalLoadOracle computes the exact minimum achievable path load — the
+// smallest c such that two edge-disjoint semilightpath-feasible routes exist
+// using only links with (U(e)+1)/N(e) ≤ c. Candidate values are the finite
+// set of per-link ratios, so the oracle is exact; it is the reference for
+// the Theorem 3 ratio experiment (E3). Each candidate cap reweights the same
 // cached skeleton.
 func (r *Router) OptimalLoadOracle(net *wdm.Network, s, t int) (float64, bool) {
+	if s == t {
+		return 0, false
+	}
 	r.ws.Trace = nil // oracle probes are not request-scoped; never trace them
 	ratios := map[float64]bool{}
 	for id := 0; id < net.Links(); id++ {

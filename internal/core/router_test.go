@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/parallel"
@@ -68,13 +69,13 @@ func TestRouterMatchesOneShotOnStream(t *testing.T) {
 		var okF, okW bool
 		switch i % 3 {
 		case 0:
-			rF, okF = ApproxMinCost(netFresh, s, d, nil)
+			rF, okF = NewRouter(nil).ApproxMinCost(netFresh, s, d)
 			rW, okW = warm.ApproxMinCost(netWarm, s, d)
 		case 1:
-			rF, okF = MinLoad(netFresh, s, d, nil)
+			rF, okF = NewRouter(nil).MinLoad(netFresh, s, d)
 			rW, okW = warm.MinLoad(netWarm, s, d)
 		case 2:
-			rF, okF = MinLoadCost(netFresh, s, d, nil)
+			rF, okF = NewRouter(nil).MinLoadCost(netFresh, s, d)
 			rW, okW = warm.MinLoadCost(netWarm, s, d)
 		}
 		kF, kW := keyOf(netFresh, rF, okF), keyOf(netWarm, rW, okW)
@@ -92,8 +93,8 @@ func TestRouterMatchesOneShotOnStream(t *testing.T) {
 		if err := Establish(netWarm, rW); err != nil {
 			t.Fatalf("request %d: warm establish: %v", i, err)
 		}
-		// The warm result aliases router workspaces only for the aux pair,
-		// not the semilightpaths, so retaining it across calls is safe.
+		// Without ReuseResult the warm router returns owned copies of its
+		// arena result, so retaining it across calls is safe.
 		established = append(established, live{fresh: rF, warm: rW})
 		// Tear a random earlier connection down every few arrivals so the
 		// stream exercises Release (and the conversion-cache invalidation)
@@ -177,7 +178,7 @@ func TestRouterParallelPerWorker(t *testing.T) {
 		if s == d {
 			continue
 		}
-		r, ok := ApproxMinCost(net, s, d, nil)
+		r, ok := NewRouter(nil).ApproxMinCost(net, s, d)
 		if ok {
 			want[i] = out{cost: r.Cost, ok: true}
 		}
@@ -200,5 +201,81 @@ func TestRouterParallelPerWorker(t *testing.T) {
 		if want[i].ok != got[i].ok || math.Abs(want[i].cost-got[i].cost) > 1e-12 {
 			t.Fatalf("sample %d: sequential %+v != parallel %+v", i, want[i], got[i])
 		}
+	}
+}
+
+// resultSnap is a deep copy of a Result's values, hop sequences included, so
+// a snapshot taken before a later routing call still shows what the call
+// returned.
+type resultSnap struct {
+	Result
+	primary, backup []wdm.Hop
+}
+
+func snap(r *Result) resultSnap {
+	s := resultSnap{Result: *r}
+	s.Primary, s.Backup = nil, nil
+	s.primary = append([]wdm.Hop(nil), r.Primary.Hops...)
+	s.backup = append([]wdm.Hop(nil), r.Backup.Hops...)
+	return s
+}
+
+// TestReuseAndOwnedResultsAgree pins the single result path: every routing
+// call builds its result in the router's arena and hands it out either as
+// is (ReuseResult) or as an owned copy. On random preloaded networks a
+// ReuseResult router and an owned-result router must therefore return equal
+// results — Cost, NaiveCost, AuxWeight, Threshold, PathLoad, Iterations and
+// the hops — for every routing method and for the candidate tier, and an
+// owned result must be unchanged by the router's next call on another pair.
+func TestReuseAndOwnedResultsAgree(t *testing.T) {
+	type method struct {
+		name  string
+		route func(*Router, *wdm.Network, int, int) (*Result, bool)
+		cands int
+	}
+	methods := []method{
+		{"ApproxMinCost", (*Router).ApproxMinCost, 0},
+		{"ApproxMinCost/candidates", (*Router).ApproxMinCost, 4},
+		{"ApproxMinCostNodeDisjoint", (*Router).ApproxMinCostNodeDisjoint, 0},
+		{"MinLoad", (*Router).MinLoad, 0},
+		{"MinLoadCost", (*Router).MinLoadCost, 0},
+		{"TwoStepMinCost", (*Router).TwoStepMinCost, 0},
+	}
+	rng := rand.New(rand.NewSource(5))
+	calls := 0
+	for trial := 0; trial < 12; trial++ {
+		net := randomWDM(rng, 5+rng.Intn(4), 2+rng.Intn(3), true)
+		n := net.Nodes()
+		for _, m := range methods {
+			reuse := NewRouter(&Options{Candidates: m.cands, ReuseResult: true})
+			owned := NewRouter(&Options{Candidates: m.cands})
+			for s := 0; s < n; s++ {
+				for d := 0; d < n; d++ {
+					if s == d {
+						continue
+					}
+					rr, okR := m.route(reuse, net, s, d)
+					ro, okO := m.route(owned, net, s, d)
+					if okR != okO {
+						t.Fatalf("trial %d %s %d->%d: reuse ok=%v, owned ok=%v", trial, m.name, s, d, okR, okO)
+					}
+					if !okR {
+						continue
+					}
+					calls++
+					before := snap(ro)
+					if got := snap(rr); !reflect.DeepEqual(got, before) {
+						t.Fatalf("trial %d %s %d->%d: reuse %+v != owned %+v", trial, m.name, s, d, got, before)
+					}
+					m.route(owned, net, d, (d+1)%n)
+					if after := snap(ro); !reflect.DeepEqual(after, before) {
+						t.Fatalf("trial %d %s %d->%d: owned result changed by the next call: %+v -> %+v", trial, m.name, s, d, before, after)
+					}
+				}
+			}
+		}
+	}
+	if calls == 0 {
+		t.Fatal("no request routed")
 	}
 }

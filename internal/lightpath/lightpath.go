@@ -141,12 +141,6 @@ func Optimal(g *wdm.Network, s, t int, opts *Options) (*wdm.Semilightpath, float
 	return &wdm.Semilightpath{Hops: hops}, best, true
 }
 
-// OptimalInSubgraph runs Optimal restricted to the given set of link IDs —
-// the G_i search of §3.3 (Lemma 2 refinement).
-func OptimalInSubgraph(g *wdm.Network, s, t int, links map[int]bool) (*wdm.Semilightpath, float64, bool) {
-	return Optimal(g, s, t, &Options{AllowedLinks: func(id int) bool { return links[id] }})
-}
-
 // AssignWavelengths finds the optimal wavelength assignment for a FIXED
 // physical route (sequence of link IDs) by dynamic programming over
 // (position, wavelength) states, and returns the resulting semilightpath and
